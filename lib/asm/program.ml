@@ -70,10 +70,81 @@ type uop =
   | U_halt
   | U_nop
 
+(* -- Per-pc timing table ------------------------------------------------ *)
+
+(* Every fact a timing model needs about a static instruction, computed
+   once per program: the GPP models and the LPSU lanes index these flat
+   arrays by pc instead of re-matching [Insn.t] on every dynamic
+   instruction. *)
+
+type lat_class = Lat_alu | Lat_mul | Lat_div | Lat_fpu
+
+type op_class = Op_alu | Op_mul | Op_div | Op_fpu | Op_xi | Op_amo
+
+type branch_kind = Br_none | Br_cond | Br_other
+
+type timing = {
+  src1 : int array;
+  src2 : int array;
+  dst : int array;
+  lat : lat_class array;
+  op : op_class array;
+  branch : branch_kind array;
+  sync : bool array;
+}
+
+let alu_lat_op : I.alu_op -> lat_class * op_class = function
+  | Mul | Mulh -> (Lat_mul, Op_mul)
+  | Div | Rem -> (Lat_div, Op_div)
+  | Add | Sub | And | Or_ | Xor | Nor | Sll | Srl | Sra | Slt | Sltu ->
+    (Lat_alu, Op_alu)
+
+(* (src1, src2, dst, latency class, op class, branch kind); r0 is never
+   a destination but is an ordinary source. *)
+let facts (i : int I.t) =
+  let d rd = if rd = Reg.zero then -1 else rd in
+  match i with
+  | I.Alu (op, rd, rs, rt) ->
+    let l, o = alu_lat_op op in (rs, rt, d rd, l, o, Br_none)
+  | Alui (op, rd, rs, _) ->
+    let l, o = alu_lat_op op in (rs, -1, d rd, l, o, Br_none)
+  | Fpu (op, rd, rs, rt) ->
+    ((rs, rt, d rd, (if op = Fdiv then Lat_div else Lat_fpu), Op_fpu,
+      Br_none))
+  | Lui (rd, _) -> (-1, -1, d rd, Lat_alu, Op_alu, Br_none)
+  | Load (_, rd, rs, _) -> (rs, -1, d rd, Lat_alu, Op_alu, Br_none)
+  | Store (_, rt, rs, _) -> (rs, rt, -1, Lat_alu, Op_alu, Br_none)
+  | Amo (_, rd, rs, rt) -> (rs, rt, d rd, Lat_alu, Op_amo, Br_none)
+  | Branch (_, rs, rt, _) | Xloop (_, rs, rt, _) ->
+    (rs, rt, -1, Lat_alu, Op_alu, Br_cond)
+  | Jump _ -> (-1, -1, -1, Lat_alu, Op_alu, Br_other)
+  | Jal _ -> (-1, -1, Reg.ra, Lat_alu, Op_alu, Br_other)
+  | Jr rs -> (rs, -1, -1, Lat_alu, Op_alu, Br_other)
+  | Xi_addi (rd, rs, _) -> (rs, -1, d rd, Lat_alu, Op_xi, Br_none)
+  | Xi_add (rd, rs, rt) -> (rs, rt, d rd, Lat_alu, Op_xi, Br_none)
+  | Sync | Halt | Nop -> (-1, -1, -1, Lat_alu, Op_alu, Br_none)
+
+let timing_of (insns : int I.t array) : timing =
+  let n = Array.length insns in
+  let tm = {
+    src1 = Array.make n (-1); src2 = Array.make n (-1);
+    dst = Array.make n (-1); lat = Array.make n Lat_alu;
+    op = Array.make n Op_alu; branch = Array.make n Br_none;
+    sync = Array.map (function I.Sync -> true | _ -> false) insns;
+  } in
+  Array.iteri
+    (fun pc i ->
+       let s1, s2, d, l, o, b = facts i in
+       tm.src1.(pc) <- s1; tm.src2.(pc) <- s2; tm.dst.(pc) <- d;
+       tm.lat.(pc) <- l; tm.op.(pc) <- o; tm.branch.(pc) <- b)
+    insns;
+  tm
+
 type predecoded = {
   source : t;
   uops : uop array;
   leaders : bool array;
+  timing : timing;
 }
 
 (** Coarse micro-op class, aligned with {!Xloops_isa.Insn.class_name}
@@ -153,7 +224,7 @@ let predecode_fresh (p : t) : predecoded =
          | u -> u)
       p.insns
   in
-  { source = p; uops; leaders = leaders_of uops }
+  { source = p; uops; leaders = leaders_of uops; timing = timing_of p.insns }
 
 (* Memoized per domain (the bench driver runs simulations on a pool of
    domains): a tiny most-recently-used list keyed by physical equality,

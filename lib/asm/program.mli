@@ -63,6 +63,36 @@ type uop =
   | U_halt
   | U_nop
 
+(** {1 Per-pc timing table}
+
+    Every fact the timing models need about a static instruction,
+    computed once per program so the GPP models and the LPSU lanes
+    index flat arrays by pc instead of re-matching [Insn.t] per dynamic
+    instruction. *)
+
+(** Latency class; each timing model maps it to cycles through its own
+    latencies.  [Lat_div] (integer divide/remainder and [fdiv]) is also
+    exactly the set that occupies the unpipelined divider, and every
+    class but [Lat_alu] executes on the long-latency functional unit. *)
+type lat_class = Lat_alu | Lat_mul | Lat_div | Lat_fpu
+
+(** Which {!Xloops_sim.Stats} operation counter an instruction bumps. *)
+type op_class = Op_alu | Op_mul | Op_div | Op_fpu | Op_xi | Op_amo
+
+(** [Br_cond]: branches and xloops (the direction predictor's
+    business); [Br_other]: jumps, [jal] and [jr]. *)
+type branch_kind = Br_none | Br_cond | Br_other
+
+type timing = {
+  src1 : int array;             (** source register, -1 when absent *)
+  src2 : int array;
+  dst : int array;              (** destination, -1 when none or r0 *)
+  lat : lat_class array;
+  op : op_class array;
+  branch : branch_kind array;
+  sync : bool array;            (** memory fence *)
+}
+
 type predecoded = {
   source : t;                (** the program the micro-ops mirror *)
   uops : uop array;          (** parallel to [source.insns] *)
@@ -72,6 +102,7 @@ type predecoded = {
           transfer's fall-through successor.  A basic block never spans
           a leader — the block-compiled tier dispatches one closure per
           block and retires it with a single bump. *)
+  timing : timing;           (** per-pc timing facts, parallel to [uops] *)
 }
 
 val uop_class : uop -> string

@@ -141,33 +141,6 @@ let dest = function
   | Jal _ -> Some Reg.ra
   | Store _ | Branch _ | Jump _ | Jr _ | Xloop _ | Sync | Halt | Nop -> None
 
-(* Allocation-free variants for per-instruction hot paths (timing
-   models, LPSU lanes): the register slots as plain ints, -1 when the
-   slot is absent.  [sources]/[dest] remain the readable interface for
-   cold code. *)
-
-let src1 = function
-  | Alu (_, _, rs, _) | Fpu (_, _, rs, _) | Alui (_, _, rs, _)
-  | Load (_, _, rs, _) | Store (_, _, rs, _) | Amo (_, _, rs, _)
-  | Branch (_, rs, _, _) | Jr rs | Xloop (_, rs, _, _)
-  | Xi_addi (_, rs, _) | Xi_add (_, rs, _) -> rs
-  | Lui _ | Jump _ | Jal _ | Sync | Halt | Nop -> -1
-
-let src2 = function
-  | Alu (_, _, _, rt) | Fpu (_, _, _, rt) | Store (_, rt, _, _)
-  | Amo (_, _, _, rt) | Branch (_, _, rt, _) | Xloop (_, _, rt, _)
-  | Xi_add (_, _, rt) -> rt
-  | Alui _ | Lui _ | Load _ | Jump _ | Jal _ | Jr _ | Xi_addi _
-  | Sync | Halt | Nop -> -1
-
-let dest_reg = function
-  | Alu (_, rd, _, _) | Alui (_, rd, _, _) | Fpu (_, rd, _, _)
-  | Lui (rd, _) | Load (_, rd, _, _) | Amo (_, rd, _, _)
-  | Xi_addi (rd, _, _) | Xi_add (rd, _, _) ->
-    if rd = Reg.zero then -1 else rd
-  | Jal _ -> Reg.ra
-  | Store _ | Branch _ | Jump _ | Jr _ | Xloop _ | Sync | Halt | Nop -> -1
-
 let is_branch = function
   | Branch _ | Jump _ | Jal _ | Jr _ | Xloop _ -> true
   | _ -> false

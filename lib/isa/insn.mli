@@ -78,13 +78,6 @@ val dest : 'lbl t -> Reg.t option
 (** Destination register ([None] for stores/branches and writes to r0;
     [Jal] writes {!Reg.ra}). *)
 
-val src1 : _ t -> int
-val src2 : _ t -> int
-val dest_reg : _ t -> int
-(** Allocation-free variants of {!sources}/{!dest} for per-instruction
-    hot paths: the register number, or -1 when the slot is absent (and,
-    for {!dest_reg}, for writes to r0). *)
-
 val is_branch : _ t -> bool
 val is_mem : _ t -> bool
 

@@ -8,20 +8,35 @@ type t = {
   sets : int;
   ways : int;
   line_bytes : int;
-  tags : int array array;       (* [set].(way) = tag, -1 invalid *)
-  lru : int array array;        (* higher = more recently used *)
+  (* Power-of-two geometry (every [Config] preset) splits an address
+     with shifts and a mask; [line_shift < 0] selects the exact
+     division path for any other geometry. *)
+  line_shift : int;
+  set_shift : int;
+  set_mask : int;
+  tags : int array;             (* [set * ways + way] = tag, -1 invalid *)
+  lru : int array;              (* higher = more recently used *)
   mutable tick : int;
   mutable accesses : int;
   mutable misses : int;
 }
 
+let log2_exact n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  let k = go 0 in
+  if n > 0 && 1 lsl k = n then k else -1
+
 let create ?(size_bytes = 16 * 1024) ?(ways = 2) ?(line_bytes = 32) () =
   let lines = size_bytes / line_bytes in
   let sets = lines / ways in
   if sets <= 0 then invalid_arg "Cache.create: too small";
+  let ls = log2_exact line_bytes and ss = log2_exact sets in
+  let pow2 = ls >= 0 && ss >= 0 in
   { sets; ways; line_bytes;
-    tags = Array.init sets (fun _ -> Array.make ways (-1));
-    lru = Array.init sets (fun _ -> Array.make ways 0);
+    line_shift = (if pow2 then ls else -1);
+    set_shift = ss; set_mask = sets - 1;
+    tags = Array.make (sets * ways) (-1);
+    lru = Array.make (sets * ways) 0;
     tick = 0; accesses = 0; misses = 0 }
 
 (** [access t addr] returns [true] on hit.  On a miss the line is filled
@@ -29,24 +44,30 @@ let create ?(size_bytes = 16 * 1024) ?(ways = 2) ?(line_bytes = 32) () =
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.tick <- t.tick + 1;
-  let line = addr / t.line_bytes in
-  let set = line mod t.sets in
-  let tag = line / t.sets in
-  let tags = t.tags.(set) and lru = t.lru.(set) in
-  let rec find w = if w >= t.ways then None
-    else if tags.(w) = tag then Some w else find (w + 1) in
-  match find 0 with
-  | Some w -> lru.(w) <- t.tick; true
-  | None ->
+  (* Shifts equal truncating division only for non-negative addresses. *)
+  let shift = t.line_shift >= 0 && addr >= 0 in
+  let line = if shift then addr lsr t.line_shift else addr / t.line_bytes in
+  let set = if shift then line land t.set_mask else line mod t.sets in
+  let tag = if shift then line lsr t.set_shift else line / t.sets in
+  let base = set * t.ways in
+  let tags = t.tags and lru = t.lru in
+  let last = base + t.ways in
+  let w = ref base in
+  while !w < last && tags.(!w) <> tag do incr w done;
+  if !w < last then begin
+    lru.(!w) <- t.tick;
+    true
+  end else begin
     t.misses <- t.misses + 1;
     (* Fill into the least-recently-used way. *)
-    let victim = ref 0 in
-    for w = 1 to t.ways - 1 do
+    let victim = ref base in
+    for w = base + 1 to last - 1 do
       if lru.(w) < lru.(!victim) then victim := w
     done;
     tags.(!victim) <- tag;
     lru.(!victim) <- t.tick;
     false
+  end
 
 let accesses t = t.accesses
 let misses t = t.misses

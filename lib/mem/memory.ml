@@ -7,20 +7,33 @@ open Xloops_isa
 
 exception Bad_access of { addr : int; what : string }
 
+(* Pre-images of the 4-byte words written since [journal_begin], in
+   flat arrays reused from one journal to the next, with one bit per
+   word marking the words already recorded: a write allocates nothing
+   once the arrays have grown to the loop's write set. *)
+type journal = {
+  mutable active : bool;
+  mutable marks : Bytes.t;   (* bit per word; allocated on first use *)
+  mutable words : int array; (* recorded word indices, [len] of them *)
+  mutable olds : int array;  (* their pre-images, little-endian *)
+  mutable len : int;
+}
+
 type t = {
   data : Bytes.t;
   size : int;
   mutable loads : int;   (* event counters for the energy model *)
   mutable stores : int;
   mutable amos : int;
-  mutable journal : (int, char) Hashtbl.t option;
-      (* pre-image of every byte written since [journal_begin]; rollback
-         support for the machine's specialized-loop checkpoints *)
+  journal : journal;
+      (* rollback support for the machine's specialized-loop
+         checkpoints *)
 }
 
 let create ?(size = 1 lsl 20) () =
   { data = Bytes.make size '\000'; size; loads = 0; stores = 0; amos = 0;
-    journal = None }
+    journal = { active = false; marks = Bytes.empty; words = [||];
+                olds = [||]; len = 0 } }
 
 let size t = t.size
 
@@ -32,34 +45,78 @@ let size t = t.size
    specialized-loop entry (registers being the other half), so a faulted
    or hung LPSU run can be rolled back and re-executed traditionally. *)
 
-let journal_active t = t.journal <> None
+(* Words are journalled whole: the first write to a word records all of
+   its bytes, none of which has been written since [journal_begin], so
+   restoring the word restores exactly the pre-journal bytes.  A word
+   past the end of a memory whose size is not a multiple of 4 covers
+   only the bytes that exist. *)
+
+let journal_active t = t.journal.active
 
 let journal_begin t =
-  if journal_active t then
+  let j = t.journal in
+  if j.active then
     invalid_arg "Memory.journal_begin: journal already active";
-  t.journal <- Some (Hashtbl.create 64)
+  if Bytes.length j.marks = 0 then
+    j.marks <- Bytes.make ((t.size + 31) / 32) '\000';
+  j.active <- true
+
+(* Close the journal, clearing the marks of the words it recorded. *)
+let journal_end t =
+  let j = t.journal in
+  for i = 0 to j.len - 1 do
+    Bytes.set j.marks (j.words.(i) lsr 3) '\000'
+  done;
+  j.len <- 0;
+  j.active <- false
 
 let journal_commit t =
-  if not (journal_active t) then
+  if not t.journal.active then
     invalid_arg "Memory.journal_commit: no active journal";
-  t.journal <- None
+  journal_end t
+
+let last_byte t w = min (4 * w + 3) (t.size - 1)
 
 let journal_abort t =
-  match t.journal with
-  | None -> invalid_arg "Memory.journal_abort: no active journal"
-  | Some j ->
-    Hashtbl.iter (fun addr old -> Bytes.set t.data addr old) j;
-    t.journal <- None
+  let j = t.journal in
+  if not j.active then invalid_arg "Memory.journal_abort: no active journal";
+  for i = 0 to j.len - 1 do
+    let w = j.words.(i) and old = j.olds.(i) in
+    for a = 4 * w to last_byte t w do
+      Bytes.set t.data a (Char.chr ((old lsr (8 * (a - 4 * w))) land 0xFF))
+    done
+  done;
+  journal_end t
 
-let journal_size t =
-  match t.journal with None -> 0 | Some j -> Hashtbl.length j
+let journal_size t = t.journal.len
 
+let journal_record t w =
+  let j = t.journal in
+  if j.len = Array.length j.words then begin
+    let n = max 64 (2 * j.len) in
+    let grow a = Array.append a (Array.make (n - j.len) 0) in
+    j.words <- grow j.words;
+    j.olds <- grow j.olds
+  end;
+  let old = ref 0 in
+  for a = last_byte t w downto 4 * w do
+    old := (!old lsl 8) lor Char.code (Bytes.get t.data a)
+  done;
+  j.words.(j.len) <- w;
+  j.olds.(j.len) <- !old;
+  j.len <- j.len + 1
+
+(* Called after the bounds check of every architectural write. *)
 let note_write t addr bytes =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-    for a = addr to addr + bytes - 1 do
-      if not (Hashtbl.mem j a) then Hashtbl.add j a (Bytes.get t.data a)
+  let j = t.journal in
+  if j.active then
+    for w = addr lsr 2 to (addr + bytes - 1) lsr 2 do
+      let m = Char.code (Bytes.get j.marks (w lsr 3)) in
+      let bit = 1 lsl (w land 7) in
+      if m land bit = 0 then begin
+        Bytes.set j.marks (w lsr 3) (Char.chr (m lor bit));
+        journal_record t w
+      end
     done
 
 let check t addr bytes what =

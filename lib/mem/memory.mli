@@ -5,14 +5,16 @@
 exception Bad_access of { addr : int; what : string }
 (** Raised on out-of-range or misaligned accesses. *)
 
+type journal
+(** Pre-images of the words written while a journal is active. *)
+
 type t = {
   data : Bytes.t;
   size : int;
   mutable loads : int;   (** architectural load count (energy model) *)
   mutable stores : int;
   mutable amos : int;
-  mutable journal : (int, char) Hashtbl.t option;
-      (** pre-images of bytes written while a journal is active *)
+  journal : journal;
 }
 
 val create : ?size:int -> unit -> t
@@ -42,7 +44,8 @@ val journal_abort : t -> unit
 
 val journal_active : t -> bool
 val journal_size : t -> int
-(** Number of distinct bytes the active journal covers (0 if none). *)
+(** Number of distinct 4-byte words the active journal covers (0 if
+    none). *)
 
 (** {1 Raw accessors} (dataset setup / checking; not event-counted) *)
 

@@ -22,7 +22,8 @@ let predict_update t ~pc ~taken =
   let c = t.counters.(i) in
   let predicted = c >= 2 in
   t.counters.(i) <-
-    (if taken then min 3 (c + 1) else max 0 (c - 1));
+    (if taken then (if c < 3 then c + 1 else 3)
+     else if c > 0 then c - 1 else 0);
   let correct = predicted = taken in
   if not correct then t.mispredicts <- t.mispredicts + 1;
   correct

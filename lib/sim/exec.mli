@@ -33,11 +33,13 @@ val set_int : hart -> Xloops_isa.Reg.t -> int -> unit
 
 (** Memory interface: bind to {!Xloops_mem.Memory} directly, or to an
     LSQ overlay for speculative lanes.  Build once per machine or lane —
-    not per instruction. *)
+    not per instruction.  Values are 32-bit values sign-extended into
+    native ints (loads zero-extend [Bu]/[Hu]), like the register file,
+    so nothing boxes. *)
 type mem_iface = {
-  load : Xloops_isa.Insn.width -> int -> int32;
-  store : Xloops_isa.Insn.width -> int -> int32 -> unit;
-  amo : Xloops_isa.Insn.amo_op -> int -> int32 -> int32;
+  load : Xloops_isa.Insn.width -> int -> int;
+  store : Xloops_isa.Insn.width -> int -> int -> unit;
+  amo : Xloops_isa.Insn.amo_op -> int -> int -> int;
 }
 
 val direct_mem : Xloops_mem.Memory.t -> mem_iface

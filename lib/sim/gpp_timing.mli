@@ -16,7 +16,9 @@ type latencies = {
 }
 
 val latencies_of : Config.gpp -> latencies
-val insn_class_latency : latencies -> int Xloops_isa.Insn.t -> int
+
+val class_latency : latencies -> Xloops_asm.Program.lat_class -> int
+(** Cycles of a latency class from the per-pc timing table. *)
 
 module Inorder : sig
   type t
@@ -25,9 +27,6 @@ module Inorder : sig
   val now : t -> int
   val barrier : t -> unit
   val skip_to : t -> int -> unit
-  val count_exec_events : Stats.t -> int Xloops_isa.Insn.t -> unit
-  (** Shared per-instruction event accounting (decode, RF, FU class),
-      also used by the LPSU lanes. *)
 end
 
 module Ooo : sig

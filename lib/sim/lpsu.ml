@@ -53,10 +53,10 @@ type ctx = {
   mutable iter : int;            (** local iteration number; -1 when idle *)
   lsq : Lsq.t;
   mutable drain_q : Lsq.store_entry list;
-  mutable got_cir : bool array;
+  got_cir : bool array;        (** per CIB slot: chain value consumed *)
   mutable insns_iter : int;
   mutable next_issue : int;
-  mutable exit_flag : int32;   (** .de: exit-register value at loop end *)
+  mutable exit_flag : int;     (** .de: exit-register value at loop end *)
   mutable frozen_until : int;  (** injected lane freeze; [max_int] = dead *)
   (* Per-context memory interfaces, built once at LPSU creation instead
      of once per memory instruction. *)
@@ -66,17 +66,29 @@ type ctx = {
   mutable fwd_raw : int32;            (** forwarded raw store bytes *)
   mutable fwd_addr : int;
   mutable fwd_bytes : int;
+  (* The slow-path issue's resource decision: the memory interface the
+     step uses and the result latency. *)
+  mutable step_if : Exec.mem_iface;
+  mutable step_lat : int;
   tstate : Threaded.state;            (** compiled-closure view of this
                                           hart ([regs] aliased) for the
                                           lane fast path *)
 }
 
+(* A CIB chain's history of (consumer iteration, value, ready cycle)
+   entries in parallel arrays, oldest first: [len] live entries.
+   History is kept (not popped on read) so that orm squashes can roll
+   back.  [hi] is the largest consumer iteration present ([min_int]
+   when empty), so a lane stalled on a value not yet produced — the
+   common CIR-stall case — finds out without a scan. *)
 type cib = {
   cir : Scan.cir;
   slot : int;
-  (* (consumer iteration, value, ready cycle), newest first.  History is
-     kept (not popped on read) so that orm squashes can roll back. *)
-  mutable hist : (int * int32 * int) list;
+  mutable h_iter : int array;
+  mutable h_val : int array;
+  mutable h_ready : int array;
+  mutable len : int;
+  mutable hi : int;
 }
 
 type stall = [ `Raw | `Mem | `Llfu | `Cir | `Lsq | `Idle | `Frozen ]
@@ -92,24 +104,31 @@ type result = {
 }
 
 type t = {
-  prog : Program.t;
-  pre : Program.predecoded;      (* prog, predecoded once *)
+  pre : Program.predecoded;      (* the program, predecoded once *)
   mem : Memory.t;
   direct_if : Exec.mem_iface;    (* architectural memory, built once *)
   ev : Exec.event;               (* shared reusable step scratch *)
   dcache : Cache.t;
   lat : Gpp_timing.latencies;
+  div_occupancy : int option;    (* [Some lat.div], built once: passing it
+                                    as [?occupancy] allocates nothing *)
   lpsu : Config.lpsu;
   stats : Stats.t;
   info : Scan.t;
+  tm : Program.timing;           (* pre's per-pc timing table *)
   base_regs : int array;         (* GPP register snapshot at scan *)
-  idx0 : int32;
-  miv_bases : (Reg.t * int32 * int32) list;  (* reg, base, inc *)
+  (* Index, bound and MIV values are sign-extended 32-bit values in
+     native ints, like the register file. *)
+  idx0 : int;
+  idx_step : int;
+  miv_regs : int array;
+  miv_base : int array;
+  miv_inc : int array;
   ctxs : ctx array;              (* lane-major, then thread *)
   cibs : cib array;
   mem_port : Port.t;
   llfu_port : Port.t;
-  mutable bound : int32;
+  mutable bound : int;
   mutable next_k : int;          (* next iteration to dispense *)
   mutable commit_iter : int;     (* lowest uncommitted iteration *)
   mutable committed : int;
@@ -135,8 +154,13 @@ type t = {
   lane_reason : stall array;     (* last cycle's stall reason per lane *)
 }
 
-let idx_of t k =
-  Int32.add t.idx0 (Int32.mul (Int32.of_int k) t.info.Scan.idx_step)
+let sext_shift = Sys.int_size - 32
+let[@inline] norm v = (v lsl sext_shift) asr sext_shift
+
+(* Int-specialized: [Stdlib.max] compiles to a C comparison call. *)
+let[@inline] imax (a : int) b = if a >= b then a else b
+
+let idx_of t k = norm (t.idx0 + k * t.idx_step)
 
 (* -- Memory interfaces ------------------------------------------------ *)
 
@@ -149,11 +173,13 @@ let spec_iface t (c : ctx) : Exec.mem_iface = {
   load = (fun w a ->
       Lsq.record_load c.lsq ~addr:a ~bytes:(Insn.width_bytes w);
       t.stats.lsq_writes <- t.stats.lsq_writes + 1;
-      Lsq.read c.lsq t.mem w a);
+      Int32.to_int (Lsq.read c.lsq t.mem w a));
   store = (fun w a v ->
-      Lsq.record_store c.lsq ~addr:a ~bytes:(Insn.width_bytes w) ~value:v;
+      Lsq.record_store c.lsq ~addr:a ~bytes:(Insn.width_bytes w)
+        ~value:(Int32.of_int v);
       t.stats.lsq_writes <- t.stats.lsq_writes + 1);
   amo = (fun op a v ->
+      let v = Int32.of_int v in
       let old = Lsq.read c.lsq t.mem Insn.W a in
       Lsq.record_load c.lsq ~addr:a ~bytes:4;
       let nv = match op with
@@ -166,7 +192,7 @@ let spec_iface t (c : ctx) : Exec.mem_iface = {
       in
       Lsq.record_store c.lsq ~addr:a ~bytes:4 ~value:nv;
       t.stats.lsq_writes <- t.stats.lsq_writes + 2;
-      old);
+      Int32.to_int old);
 }
 
 (* Sign/zero-extend raw little-endian bytes per access width. *)
@@ -187,7 +213,7 @@ let fwd_iface t (c : ctx) : Exec.mem_iface = {
       Lsq.record_load c.lsq ~addr:c.fwd_addr ~bytes:c.fwd_bytes
         ~fwd:{ Lsq.f_iter = c.fwd_src; f_value = c.fwd_raw };
       t.stats.lsq_writes <- t.stats.lsq_writes + 1;
-      extend_raw w c.fwd_raw);
+      Int32.to_int (extend_raw w c.fwd_raw));
   store = (fun _ _ _ -> assert false);
   amo = (fun _ _ _ -> assert false);
 }
@@ -214,28 +240,32 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ~(info : Scan.t)
           st = Idle; iter = -1;
           lsq = Lsq.create ~max_loads:lpsu.lsq_loads
               ~max_stores:lpsu.lsq_stores;
-          drain_q = []; got_cir = [||]; insns_iter = 0; next_issue = 0;
-          exit_flag = 0l; frozen_until = 0;
+          drain_q = [];
+          got_cir = Array.make (List.length info.cirs) false;
+          insns_iter = 0; next_issue = 0;
+          exit_flag = 0; frozen_until = 0;
           (* real interfaces are installed after [t] exists *)
           spec_if = direct_if; fwd_if = direct_if;
           fwd_src = -1; fwd_raw = 0l; fwd_addr = -1; fwd_bytes = 0;
+          step_if = direct_if; step_lat = 1;
           tstate = { Threaded.regs = hart.Exec.regs; mem;
                      pc = 0; retired = 0 } })
   in
+  let cib_cap = 2 * Array.length ctxs + 8 in
   let cibs =
     Array.of_list
       (List.mapi
          (fun slot (c : Scan.cir) ->
             { cir = c; slot;
-              hist = [ (0, Int32.of_int regs.(c.c_reg), start_cycle) ] })
+              h_iter = Array.make cib_cap 0;
+              h_val = Array.make cib_cap regs.(c.c_reg);
+              h_ready = Array.make cib_cap start_cycle;
+              len = 1; hi = 0 })
          info.cirs)
   in
-  let miv_bases =
-    List.map
-      (fun (m : Scan.miv) -> (m.m_reg, Int32.of_int regs.(m.m_reg), m.m_inc))
-      info.mivs
-  in
+  let mivs = Array.of_list info.mivs in
   let pre = Program.predecode prog in
+  let tm = pre.timing in
   (* Start from the compiled tier's per-pc metadata, then demote the
      pcs whose execution the LPSU must see one at a time: anything
      reading a CIR (first-read stall and got_cir bookkeeping), anything
@@ -249,27 +279,32 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ~(info : Scan.t)
   Array.iteri
     (fun pc m ->
        match m with
-       | Threaded.L_plain { l_rd; l_s1; l_s2; _ } ->
+       | Threaded.L_plain _ ->
          let cir r =
            r >= 0
            && List.exists (fun (c : Scan.cir) -> c.c_reg = r) info.cirs
          in
-         if cir l_rd || cir l_s1 || cir l_s2 then demote pc;
-         if info.pat.cp = Insn.Dyn && l_rd = info.r_bound then demote pc
+         let rd = tm.dst.(pc) in
+         if cir rd || cir tm.src1.(pc) || cir tm.src2.(pc) then demote pc;
+         if info.pat.cp = Insn.Dyn && rd = info.r_bound then demote pc
        | Threaded.L_slow -> ())
     lane_fast;
   List.iter (fun (c : Scan.cir) -> demote c.c_last_write_pc) info.cirs;
   let fast_ok = trace = None && faults = None && Tier.get () <> Tier.Ref in
+  let lat = Gpp_timing.latencies_of cfg.gpp in
   let t =
-    { prog; pre; mem; direct_if;
+    { pre; mem; direct_if;
       ev = Exec.create_event ();
-      dcache; lat = Gpp_timing.latencies_of cfg.gpp; lpsu; stats;
-      info; base_regs = Array.copy regs;
-      idx0 = Int32.of_int regs.(info.r_idx); miv_bases;
+      dcache; lat; div_occupancy = Some lat.div; lpsu; stats;
+      info; tm; base_regs = Array.copy regs;
+      idx0 = regs.(info.r_idx); idx_step = Int32.to_int info.idx_step;
+      miv_regs = Array.map (fun (m : Scan.miv) -> m.m_reg) mivs;
+      miv_base = Array.map (fun (m : Scan.miv) -> regs.(m.m_reg)) mivs;
+      miv_inc = Array.map (fun (m : Scan.miv) -> Int32.to_int m.m_inc) mivs;
       ctxs; cibs;
       mem_port = Port.create ~width:lpsu.mem_ports "dmem";
       llfu_port = Port.create ~width:lpsu.llfu_ports "llfu";
-      bound = Int32.of_int regs.(info.r_bound);
+      bound = regs.(info.r_bound);
       next_k = 0; commit_iter = 0; committed = 0; exit_at = None;
       cycle = start_cycle;
       stop_after; spec_pattern; has_cirs; mt_enabled; trace;
@@ -290,21 +325,20 @@ let can_dispense t =
   (match t.stop_after with Some m -> t.next_k < m | None -> true)
   && (match t.info.pat.cp with
       | De -> t.exit_at = None
-      | Fixed | Dyn -> Int32.compare (idx_of t t.next_k) t.bound < 0)
+      | Fixed | Dyn -> idx_of t t.next_k < t.bound)
 
 (** Seed a context's register file for iteration [k]: live-ins from the
     scan snapshot, index and MIVs from the MIVT computation. *)
 let seed_ctx t (c : ctx) k =
   Array.blit t.base_regs 0 c.hart.regs 0 Reg.num_regs;
-  Exec.set c.hart t.info.r_idx (idx_of t k);
-  List.iter
-    (fun (r, base, inc) ->
-       Exec.set c.hart r (Int32.add base (Int32.mul (Int32.of_int k) inc));
-       t.stats.xi_ops <- t.stats.xi_ops + 1)
-    t.miv_bases;
+  Exec.set_int c.hart t.info.r_idx (idx_of t k);
+  for i = 0 to Array.length t.miv_regs - 1 do
+    Exec.set_int c.hart t.miv_regs.(i) (t.miv_base.(i) + k * t.miv_inc.(i));
+    t.stats.xi_ops <- t.stats.xi_ops + 1
+  done;
   Array.fill c.reg_ready 0 Reg.num_regs t.cycle;
   c.hart.pc <- t.info.body_start;
-  c.got_cir <- Array.make (Array.length t.cibs) false;
+  Array.fill c.got_cir 0 (Array.length c.got_cir) false;
   c.insns_iter <- 0
 
 let frozen (t : t) (c : ctx) = t.cycle < c.frozen_until
@@ -321,13 +355,49 @@ let dispatch t (c : ctx) =
   c.next_issue <- t.cycle + 1;  (* IDQ dequeue costs a cycle *)
   t.stats.idq_ops <- t.stats.idq_ops + 1;
   if Trace.enabled t.trace Lanes then
-    Trace.event t.trace Lanes "[%7d] lane%d.%d dispatch iter=%d idx=%ld"
+    Trace.event t.trace Lanes "[%7d] lane%d.%d dispatch iter=%d idx=%d"
       t.cycle c.lane c.tid k (idx_of t k)
 
 (* -- CIB ------------------------------------------------------------- *)
 
-let cib_lookup (cb : cib) k =
-  List.find_opt (fun (i, _, _) -> i = k) cb.hist
+(* Newest entry for consumer iteration [k], or -1. *)
+let cib_find (cb : cib) k =
+  if k > cb.hi then -1
+  else begin
+    let i = ref (cb.len - 1) in
+    while !i >= 0 && cb.h_iter.(!i) <> k do decr i done;
+    !i
+  end
+
+let cib_push (cb : cib) ~iter ~value ~ready =
+  if cb.len = Array.length cb.h_iter then begin
+    let grow a = Array.append a a in
+    cb.h_iter <- grow cb.h_iter;
+    cb.h_val <- grow cb.h_val;
+    cb.h_ready <- grow cb.h_ready
+  end;
+  cb.h_iter.(cb.len) <- iter;
+  cb.h_val.(cb.len) <- value;
+  cb.h_ready.(cb.len) <- ready;
+  cb.len <- cb.len + 1;
+  if iter > cb.hi then cb.hi <- iter
+
+(* Keep only the entries whose consumer iteration lies in [lo, hi],
+   preserving their order. *)
+let cib_retain (cb : cib) ~lo ~hi =
+  let n = ref 0 in
+  cb.hi <- min_int;
+  for i = 0 to cb.len - 1 do
+    let k = cb.h_iter.(i) in
+    if lo <= k && k <= hi then begin
+      cb.h_iter.(!n) <- k;
+      cb.h_val.(!n) <- cb.h_val.(i);
+      cb.h_ready.(!n) <- cb.h_ready.(i);
+      incr n;
+      if k > cb.hi then cb.hi <- k
+    end
+  done;
+  cb.len <- !n
 
 (* Oldest history entry any future lookup can need: speculative patterns
    may roll back to the commit point; non-speculative ones only ever look
@@ -338,26 +408,24 @@ let cib_lookup (cb : cib) k =
    every lookup into an O(iterations) walk. *)
 let cib_keep_from t =
   if t.spec_pattern then t.commit_iter - 1
-  else
-    Array.fold_left
-      (fun acc c ->
-         if c.st <> Idle && c.iter >= 0 && c.iter < acc then c.iter else acc)
-      t.committed t.ctxs
-    - 1
-
-let cib_write t (cb : cib) ~producer_iter ~value =
-  cb.hist <- (producer_iter + 1, value, t.cycle + 1) :: cb.hist;
-  t.stats.cib_writes <- t.stats.cib_writes + 1;
-  (* Prune entries no consumer can ever need again. *)
-  if List.length cb.hist > Array.length t.ctxs * 2 + 4 then begin
-    let keep_from = cib_keep_from t in
-    cb.hist <- List.filter (fun (i, _, _) -> i >= keep_from) cb.hist
+  else begin
+    let acc = ref t.committed in
+    for i = 0 to Array.length t.ctxs - 1 do
+      let c = t.ctxs.(i) in
+      if c.st <> Idle && c.iter >= 0 && c.iter < !acc then acc := c.iter
+    done;
+    !acc - 1
   end
 
+let cib_write t (cb : cib) ~producer_iter ~value =
+  cib_push cb ~iter:(producer_iter + 1) ~value ~ready:(t.cycle + 1);
+  t.stats.cib_writes <- t.stats.cib_writes + 1;
+  (* Prune entries no consumer can ever need again. *)
+  if cb.len > Array.length t.ctxs * 2 + 4 then
+    cib_retain cb ~lo:(cib_keep_from t) ~hi:max_int
+
 let cib_rollback t k_min =
-  Array.iter
-    (fun cb -> cb.hist <- List.filter (fun (i, _, _) -> i <= k_min) cb.hist)
-    t.cibs
+  Array.iter (fun cb -> cib_retain cb ~lo:min_int ~hi:k_min) t.cibs
 
 (* -- Squash ---------------------------------------------------------- *)
 
@@ -412,14 +480,14 @@ let broadcast_store t ~from_iter ~(store : Lsq.store_entry) =
     t.stats.store_broadcasts <- t.stats.store_broadcasts + 1;
     let addr = store.Lsq.s_addr and bytes = store.Lsq.s_bytes in
     let violated = ref [] in
-    Array.iter
-      (fun c ->
-         if (c.st = Run || c.st = Wait_commit) && c.iter > from_iter then begin
-           t.stats.lsq_searches <- t.stats.lsq_searches + 1;
-           if Lsq.violated_loads c.lsq ~from_iter ~addr ~bytes ~store <> []
-           then violated := c :: !violated
-         end)
-      t.ctxs;
+    for i = 0 to Array.length t.ctxs - 1 do
+      let c = t.ctxs.(i) in
+      if (c.st = Run || c.st = Wait_commit) && c.iter > from_iter then begin
+        t.stats.lsq_searches <- t.stats.lsq_searches + 1;
+        if Lsq.violated_loads c.lsq ~from_iter ~addr ~bytes ~store <> []
+        then violated := c :: !violated
+      end
+    done;
     match !violated with
     | [] -> ()
     | vs ->
@@ -451,34 +519,31 @@ let broadcast_store t ~from_iter ~(store : Lsq.store_entry) =
     whose buffered stores fully cover the load supplies the value; the
     load entry remembers its source so commits can confirm it and
     squashes can cascade.  On a hit the context's [fwd_*] scratch fields
-    are armed and its pre-built [fwd_if] returned. *)
-let inter_lane_forward t (c : ctx) ~addr ~bytes
-  : Exec.mem_iface option =
-  if not t.lpsu.inter_lane_fwd then None
-  else begin
-    let best = ref None in
-    Array.iter
-      (fun o ->
-         if (o.st = Run || o.st = Wait_commit)
-         && o.iter < c.iter && o.iter >= t.commit_iter then begin
-           t.stats.lsq_searches <- t.stats.lsq_searches + 1;
-           match Lsq.covering_store_value o.lsq ~addr ~bytes with
-           | Some raw ->
-             (match !best with
-              | Some (bi, _) when bi > o.iter -> ()
-              | _ -> best := Some (o.iter, raw))
-           | None -> ()
-         end)
-      t.ctxs;
-    match !best with
-    | None -> None
-    | Some (src, raw) ->
+    are armed for its pre-built [fwd_if] and the result is [true]. *)
+let inter_lane_forward t (c : ctx) ~addr ~bytes =
+  t.lpsu.inter_lane_fwd
+  && begin
+    let best = ref (-1) in
+    for i = 0 to Array.length t.ctxs - 1 do
+      let o = t.ctxs.(i) in
+      if (o.st = Run || o.st = Wait_commit)
+      && o.iter < c.iter && o.iter >= t.commit_iter then begin
+        t.stats.lsq_searches <- t.stats.lsq_searches + 1;
+        match Lsq.covering_store_value o.lsq ~addr ~bytes with
+        | Some raw when o.iter >= !best ->
+          best := o.iter;
+          c.fwd_raw <- raw
+        | Some _ | None -> ()
+      end
+    done;
+    !best >= 0
+    && begin
       t.stats.lsq_forwards <- t.stats.lsq_forwards + 1;
-      c.fwd_src <- src;
-      c.fwd_raw <- raw;
+      c.fwd_src <- !best;
       c.fwd_addr <- addr;
       c.fwd_bytes <- bytes;
-      Some c.fwd_if
+      true
+    end
   end
 
 (* An L1 miss is charged to the value's latency, blocks the issuing lane
@@ -492,7 +557,7 @@ let dcache_latency t (c : ctx) ~addr ~base_latency =
   if Cache.access t.dcache addr then base_latency
   else begin
     t.stats.dcache_misses <- t.stats.dcache_misses + 1;
-    c.next_issue <- max c.next_issue (t.cycle + miss_penalty);
+    c.next_issue <- imax c.next_issue (t.cycle + miss_penalty);
     Port.hold t.mem_port ~until:(t.cycle + miss_penalty);
     base_latency + miss_penalty
   end
@@ -509,18 +574,18 @@ let take_exit t (c : ctx) =
       t.cycle c.iter;
   t.exit_at <- Some c.iter;
   t.bound <- c.exit_flag;
-  Array.iter
-    (fun o ->
-       if o.st <> Idle && o.iter > c.iter then begin
-         t.stats.squashed_insns <- t.stats.squashed_insns + o.insns_iter;
-         t.stats.cyc_squash <- t.stats.cyc_squash + o.insns_iter;
-         t.stats.cyc_exec <- t.stats.cyc_exec - o.insns_iter;
-         Lsq.clear o.lsq;
-         o.drain_q <- [];
-         o.st <- Idle;
-         o.iter <- -1
-       end)
-    t.ctxs
+  for i = 0 to Array.length t.ctxs - 1 do
+    let o = t.ctxs.(i) in
+    if o.st <> Idle && o.iter > c.iter then begin
+      t.stats.squashed_insns <- t.stats.squashed_insns + o.insns_iter;
+      t.stats.cyc_squash <- t.stats.cyc_squash + o.insns_iter;
+      t.stats.cyc_exec <- t.stats.cyc_exec - o.insns_iter;
+      Lsq.clear o.lsq;
+      o.drain_q <- [];
+      o.st <- Idle;
+      o.iter <- -1
+    end
+  done
 
 let commit_iteration t (c : ctx) =
   if Trace.enabled t.trace Lanes then
@@ -531,7 +596,7 @@ let commit_iteration t (c : ctx) =
   t.stats.iterations <- t.stats.iterations + 1;
   t.stats.committed_insns <- t.stats.committed_insns + c.insns_iter;
   if t.spec_pattern then t.commit_iter <- t.commit_iter + 1;
-  if t.info.pat.cp = Insn.De && c.exit_flag <> 0l && t.exit_at = None
+  if t.info.pat.cp = Insn.De && c.exit_flag <> 0 && t.exit_at = None
   then take_exit t c;
   c.st <- Idle;
   c.iter <- -1
@@ -543,25 +608,27 @@ let commit_iteration t (c : ctx) =
     filled so the issue loop empties it before the lane proceeds. *)
 let rec try_commits t =
   if t.spec_pattern then begin
-    let oldest =
-      Array.fold_left
-        (fun acc c -> if c.iter = t.commit_iter && c.st <> Idle
-          then Some c else acc)
-        None t.ctxs
-    in
-    match oldest with
-    | Some c when c.st = Wait_commit ->
-      if Lsq.n_stores c.lsq = 0 then begin
-        commit_iteration t c;
-        try_commits t
-      end else if c.drain_q = [] then begin
-        c.drain_q <- Lsq.drain_order c.lsq;
-        c.st <- Drain_commit
-      end
-    | Some c when c.st = Run && Lsq.n_stores c.lsq > 0 && c.drain_q = [] ->
-      (* Promoted while still running: drain before continuing. *)
-      c.drain_q <- Lsq.drain_order c.lsq
-    | _ -> ()
+    (* The oldest context: the last one holding the commit iteration. *)
+    let i = ref (Array.length t.ctxs - 1) in
+    while !i >= 0
+          && not (t.ctxs.(!i).iter = t.commit_iter && t.ctxs.(!i).st <> Idle)
+    do decr i done;
+    if !i >= 0 then begin
+      let c = t.ctxs.(!i) in
+      match c.st with
+      | Wait_commit ->
+        if Lsq.n_stores c.lsq = 0 then begin
+          commit_iteration t c;
+          try_commits t
+        end else if c.drain_q = [] then begin
+          c.drain_q <- Lsq.drain_order c.lsq;
+          c.st <- Drain_commit
+        end
+      | Run when Lsq.n_stores c.lsq > 0 && c.drain_q = [] ->
+        (* Promoted while still running: drain before continuing. *)
+        c.drain_q <- Lsq.drain_order c.lsq
+      | Run | Idle | Drain_commit -> ()
+    end
   end
 
 (* -- Issue ----------------------------------------------------------- *)
@@ -573,40 +640,41 @@ let rec try_commits t =
     must first wait for the previous iteration to produce it (the copy
     forwards the {e chain} value, not the lane's stale register). *)
 let cir_finish_ready t (c : ctx) =
-  Array.for_all
-    (fun cb ->
-       match cib_lookup cb (c.iter + 1) with
-       | Some _ -> true  (* already forwarded by the last-write insn *)
-       | None ->
-         c.got_cir.(cb.slot)
-         || (match cib_lookup cb c.iter with
-             | Some (_, _, ready) -> ready <= t.cycle
-             | None -> false))
-    t.cibs
+  let ready = ref true and i = ref 0 in
+  while !ready && !i < Array.length t.cibs do
+    let cb = t.cibs.(!i) in
+    (* Forwarded already by the last-write instruction, or consumed. *)
+    if cib_find cb (c.iter + 1) < 0 && not c.got_cir.(cb.slot) then begin
+      let j = cib_find cb c.iter in
+      if j < 0 || cb.h_ready.(j) > t.cycle then ready := false
+    end;
+    incr i
+  done;
+  !ready
 
 let end_of_iteration t (c : ctx) =
   (* The implicit xloop at the end of the iteration. *)
   c.insns_iter <- c.insns_iter + 1;
   t.stats.ib_fetches <- t.stats.ib_fetches + 1;
   if t.info.pat.cp = Insn.De then
-    c.exit_flag <- Exec.get c.hart t.info.r_bound;
+    c.exit_flag <- c.hart.regs.(t.info.r_bound);
+  (* End-of-iteration CIR copy for chains whose last-write instruction
+     was skipped by control flow. *)
   if t.has_cirs then
-    (* End-of-iteration CIR copy for chains whose last-write instruction
-       was skipped by control flow. *)
-    Array.iter
-      (fun cb ->
-         match cib_lookup cb (c.iter + 1) with
-         | Some _ -> ()
-         | None ->
-           let value =
-             if c.got_cir.(cb.slot) then Exec.get c.hart cb.cir.c_reg
-             else
-               match cib_lookup cb c.iter with
-               | Some (_, v, _) -> v
-               | None -> assert false  (* guarded by cir_finish_ready *)
-           in
-           cib_write t cb ~producer_iter:c.iter ~value)
-      t.cibs;
+  for i = 0 to Array.length t.cibs - 1 do
+    let cb = t.cibs.(i) in
+    if cib_find cb (c.iter + 1) < 0 then begin
+      let value =
+        if c.got_cir.(cb.slot) then c.hart.regs.(cb.cir.c_reg)
+        else begin
+          let j = cib_find cb c.iter in
+          assert (j >= 0);  (* guarded by cir_finish_ready *)
+          cb.h_val.(j)
+        end
+      in
+      cib_write t cb ~producer_iter:c.iter ~value
+    end
+  done;
   if t.spec_pattern && c.iter > t.commit_iter then
     c.st <- Wait_commit
   else if t.spec_pattern && Lsq.n_stores c.lsq > 0 then begin
@@ -615,166 +683,163 @@ let end_of_iteration t (c : ctx) =
   end else
     commit_iteration t c
 
-(** Attempt to issue one instruction from [c] at the current cycle.
-    Returns [Ok ()] if the lane did useful work, [Error reason] on a
-    stall. *)
-let attempt_issue t (c : ctx) : (unit, stall) Result.t =
+(* What one issue slot of a context did this cycle: [`Issued] useful
+   work, or the stall that blocked it.  Immediate values only, so the
+   per-cycle loop allocates nothing. *)
+type outcome = [ `Issued | stall ]
+
+let go (c : ctx) iface latency =
+  c.step_if <- iface;
+  c.step_lat <- latency;
+  `Go
+
+(** Claim the resources the instruction at [pc] needs this cycle (LLFU,
+    memory port, LSQ entries), before any side effects.  On [`Go] the
+    context's [step_if] and [step_lat] say which memory interface the
+    step uses and when its result is ready. *)
+let reserve t (c : ctx) pc ~speculative : [ `Go | stall ] =
   let now = t.cycle in
-  if now < c.next_issue then Error `Raw
-  else if c.hart.pc = t.info.xloop_pc then begin
-    if t.has_cirs && not (cir_finish_ready t c) then Error `Cir
+  match t.pre.uops.(pc) with
+  | Program.U_load (_, _, rs, imm, bytes) ->
+    let addr = c.hart.regs.(rs) + imm in
+    if speculative then begin
+      if Lsq.loads_full c.lsq then `Lsq
+      else if Lsq.store_overlaps c.lsq ~addr ~bytes then begin
+        (* Own-lane store-to-load forwarding: no port needed. *)
+        t.stats.lsq_searches <- t.stats.lsq_searches + 1;
+        go c c.spec_if 1
+      end
+      else if inter_lane_forward t c ~addr ~bytes then go c c.fwd_if 1
+      else if Port.try_grant t.mem_port ~now then begin
+        t.stats.lsq_searches <- t.stats.lsq_searches + 1;
+        go c c.spec_if
+          (dcache_latency t c ~addr ~base_latency:t.lat.load_use)
+      end else `Mem
+    end else if Port.try_grant t.mem_port ~now then
+      go c t.direct_if (dcache_latency t c ~addr ~base_latency:t.lat.load_use)
+    else `Mem
+  | U_store (_, _, rs, imm, _) ->
+    if speculative then begin
+      if Lsq.stores_full c.lsq then `Lsq else go c c.spec_if 1
+    end else if Port.try_grant t.mem_port ~now then
+      go c t.direct_if
+        (dcache_latency t c ~addr:(c.hart.regs.(rs) + imm) ~base_latency:1)
+    else `Mem
+  | U_amo (_, _, rs, _) ->
+    let addr = c.hart.regs.(rs) in
+    if speculative then begin
+      if Lsq.loads_full c.lsq || Lsq.stores_full c.lsq then `Lsq
+      else go c c.spec_if t.lat.amo
+    end else if Port.try_grant ~occupancy:2 t.mem_port ~now then
+      go c t.direct_if (dcache_latency t c ~addr ~base_latency:t.lat.amo)
+    else `Mem
+  | _ ->
+    (match t.tm.lat.(pc) with
+     | Lat_alu -> go c t.direct_if 1  (* non-memory: the interface is unused *)
+     | (Lat_mul | Lat_div | Lat_fpu) as l ->
+       (* The divider is unpipelined: it holds the LLFU port. *)
+       let occupancy = if l = Lat_div then t.div_occupancy else None in
+       if Port.try_grant ?occupancy t.llfu_port ~now then
+         go c t.direct_if (Gpp_timing.class_latency t.lat l)
+       else `Llfu)
+
+(** Attempt to issue one instruction from [c] at the current cycle. *)
+let attempt_issue t (c : ctx) : outcome =
+  let now = t.cycle in
+  let pc = c.hart.pc in
+  if now < c.next_issue then `Raw
+  else if pc = t.info.xloop_pc then begin
+    if t.has_cirs && not (cir_finish_ready t c) then `Cir
     else begin
-      end_of_iteration t c; Ok ()
+      end_of_iteration t c; `Issued
     end
   end else begin
-    if c.hart.pc < t.info.body_start || c.hart.pc > t.info.xloop_pc then
+    if pc < t.info.body_start || pc > t.info.xloop_pc then
       raise (Lane_trap
                (Printf.sprintf "lane pc %d escaped xloop body [%d,%d]"
-                  c.hart.pc t.info.body_start t.info.xloop_pc));
+                  pc t.info.body_start t.info.xloop_pc));
+    let tm = t.tm in
+    let s1 = tm.src1.(pc) and s2 = tm.src2.(pc) in
+    let speculative = t.spec_pattern && c.iter > t.commit_iter in
     match
-      (if t.fast_ok && not (t.spec_pattern && c.iter > t.commit_iter)
-       then t.lane_fast.(c.hart.pc)
+      (if t.fast_ok && not speculative then t.lane_fast.(pc)
        else Threaded.L_slow)
     with
-    | Threaded.L_plain { l_op; l_insn; l_rd; l_s1; l_s2; l_ctrl } ->
+    | Threaded.L_plain op ->
       (* Fast path: a plain single-cycle instruction on a
          non-speculative context with no observer attached.  The
          compiled closure replays exactly [Exec.step]'s architectural
          effects (the register file is aliased), and every lane-level
          effect — issue accounting, RAW scoreboard, taken-branch
-         bubble — is recovered from the metadata and the outgoing pc. *)
+         bubble — is recovered from the timing table and the outgoing
+         pc. *)
       let ready =
-        max (if l_s1 >= 0 then c.reg_ready.(l_s1) else 0)
-          (if l_s2 >= 0 then c.reg_ready.(l_s2) else 0)
+        imax (if s1 >= 0 then c.reg_ready.(s1) else 0)
+          (if s2 >= 0 then c.reg_ready.(s2) else 0)
       in
-      if ready > now then Error `Raw
+      if ready > now then `Raw
       else begin
-        let pc = c.hart.pc in
         let st = c.tstate in
-        l_op st;
+        op st;
         c.hart.pc <- st.Threaded.pc;
         c.insns_iter <- c.insns_iter + 1;
         t.stats.ib_fetches <- t.stats.ib_fetches + 1;
-        Gpp_timing.Inorder.count_exec_events t.stats l_insn;
-        if l_rd >= 0 then c.reg_ready.(l_rd) <- now + 1;
-        if l_ctrl = 2 || (l_ctrl = 1 && st.Threaded.pc <> pc + 1) then
-          c.next_issue <- now + 2;
-        Ok ()
+        Stats.count_decode t.stats tm pc;
+        let rd = tm.dst.(pc) in
+        if rd >= 0 then c.reg_ready.(rd) <- now + 1;
+        (match tm.branch.(pc) with
+         | Br_other -> c.next_issue <- now + 2
+         | Br_cond -> if st.Threaded.pc <> pc + 1 then c.next_issue <- now + 2
+         | Br_none -> ());
+        `Issued
       end
     | Threaded.L_slow ->
-    let insn = t.prog.Program.insns.(c.hart.pc) in
     (* CIR consumption: the first read of each CIR waits on the CIB. *)
-    let s1 = Insn.src1 insn and s2 = Insn.src2 insn in
     let cir_stall = ref false in
-    if t.has_cirs then
-      Array.iter
-        (fun cb ->
-           if (not c.got_cir.(cb.slot))
-           && (s1 = cb.cir.c_reg || s2 = cb.cir.c_reg)
-           && not !cir_stall then begin
-             match cib_lookup cb c.iter with
-             | Some (_, v, ready) when ready <= now ->
-               Exec.set c.hart cb.cir.c_reg v;
-               c.reg_ready.(cb.cir.c_reg) <- now;
-               c.got_cir.(cb.slot) <- true;
-               t.stats.cib_reads <- t.stats.cib_reads + 1
-             | _ -> cir_stall := true
-           end)
-        t.cibs;
-    if !cir_stall then Error `Cir
+    if t.has_cirs then begin
+      let i = ref 0 in
+      while not !cir_stall && !i < Array.length t.cibs do
+        let cb = t.cibs.(!i) in
+        let r = cb.cir.c_reg in
+        if (not c.got_cir.(cb.slot)) && (s1 = r || s2 = r) then begin
+          let j = cib_find cb c.iter in
+          if j >= 0 && cb.h_ready.(j) <= now then begin
+            Exec.set_int c.hart r cb.h_val.(j);
+            c.reg_ready.(r) <- now;
+            c.got_cir.(cb.slot) <- true;
+            t.stats.cib_reads <- t.stats.cib_reads + 1
+          end else cir_stall := true
+        end;
+        incr i
+      done
+    end;
+    if !cir_stall then `Cir
     else begin
       let ready =
-        max (if s1 >= 0 then c.reg_ready.(s1) else 0)
+        imax (if s1 >= 0 then c.reg_ready.(s1) else 0)
           (if s2 >= 0 then c.reg_ready.(s2) else 0) in
-      if ready > now then Error `Raw
-      else begin
-        let speculative =
-          t.spec_pattern && c.iter > t.commit_iter in
-        (* Resource checks and latency selection, before any side
-           effects. *)
-        let decide : (Exec.mem_iface option * int, stall) Result.t =
-          if Insn.is_llfu insn then begin
-            let occupancy = match insn with
-              | Alu ((Div | Rem), _, _, _) | Alui ((Div | Rem), _, _, _)
-              | Fpu (Fdiv, _, _, _) -> t.lat.div
-              | _ -> 1
-            in
-            if Port.try_grant ~occupancy t.llfu_port ~now then
-              let l = Gpp_timing.insn_class_latency t.lat insn in
-              Ok (None, l)
-            else Error `Llfu
-          end else if Insn.is_mem insn then begin
-            match insn with
-            | Load (w, _, rs, imm) ->
-              let addr = Exec.get_int c.hart rs + imm in
-              let bytes = Memory.width_bytes w in
-              if speculative then begin
-                if Lsq.loads_full c.lsq then Error `Lsq
-                else if Lsq.store_overlaps c.lsq ~addr ~bytes then begin
-                  (* Own-lane store-to-load forwarding: no port needed. *)
-                  t.stats.lsq_searches <- t.stats.lsq_searches + 1;
-                  Ok (Some c.spec_if, 1)
-                end else begin
-                  match inter_lane_forward t c ~addr ~bytes with
-                  | Some iface -> Ok (Some iface, 1)
-                  | None ->
-                    if Port.try_grant t.mem_port ~now then begin
-                      t.stats.lsq_searches <- t.stats.lsq_searches + 1;
-                      Ok (Some c.spec_if,
-                          dcache_latency t c ~addr
-                            ~base_latency:t.lat.load_use)
-                    end else Error `Mem
-                end
-              end else if Port.try_grant t.mem_port ~now then
-                Ok (Some t.direct_if,
-                    dcache_latency t c ~addr ~base_latency:t.lat.load_use)
-              else Error `Mem
-            | Store (_, _, rs, imm) ->
-              if speculative then begin
-                if Lsq.stores_full c.lsq then Error `Lsq
-                else Ok (Some c.spec_if, 1)
-              end else if Port.try_grant t.mem_port ~now then
-                Ok (Some t.direct_if,
-                    dcache_latency t c ~addr:(Exec.get_int c.hart rs + imm)
-                      ~base_latency:1)
-              else Error `Mem
-            | Amo (_, _, rs, _) ->
-              let addr = Exec.get_int c.hart rs in
-              if speculative then begin
-                if Lsq.loads_full c.lsq || Lsq.stores_full c.lsq
-                then Error `Lsq
-                else Ok (Some c.spec_if, t.lat.amo)
-              end else if Port.try_grant ~occupancy:2 t.mem_port ~now then
-                Ok (Some t.direct_if,
-                    dcache_latency t c ~addr ~base_latency:t.lat.amo)
-              else Error `Mem
-            | _ -> assert false
-          end else Ok (None, 1)
-        in
-        match decide with
-        | Error _ as e -> e
-        | Ok (iface, latency) ->
-          let iface = match iface with
-            | Some i -> i
-            | None -> t.direct_if  (* non-memory: never used *)
-          in
-          Exec.step t.pre c.hart iface t.ev;
+      if ready > now then `Raw
+      else
+        match reserve t c pc ~speculative with
+        | #stall as e -> e
+        | `Go ->
+          Exec.step t.pre c.hart c.step_if t.ev;
           let ev = t.ev in
-          let insn = Exec.event_insn ev in
           if Trace.enabled t.trace Insns then
             Trace.event t.trace Insns "[%7d] lane%d.%d it=%-4d %4d: %a"
-              t.cycle c.lane c.tid c.iter ev.pc Insn.pp_resolved insn;
+              t.cycle c.lane c.tid c.iter ev.pc Insn.pp_resolved
+              (Exec.event_insn ev);
           c.insns_iter <- c.insns_iter + 1;
           t.stats.ib_fetches <- t.stats.ib_fetches + 1;
-          Gpp_timing.Inorder.count_exec_events t.stats insn;
-          let rd = Insn.dest_reg insn in
-          if rd >= 0 then c.reg_ready.(rd) <- now + latency;
+          Stats.count_decode t.stats tm pc;
+          let rd = tm.dst.(pc) in
+          if rd >= 0 then c.reg_ready.(rd) <- now + c.step_lat;
           (* Taken branches inside the body cost one fetch bubble. *)
           if ev.taken then c.next_issue <- now + 2;
-          (* Non-speculative stores are broadcast for violation checks;
-             the just-written memory bytes stand in for the store data. *)
-          if ev.mem_is_store && not (t.spec_pattern && c.iter > t.commit_iter)
-          then begin
+          (* Non-speculative stores are broadcast for violation checks
+             (only speculative patterns have anyone to check); the
+             just-written memory bytes stand in for the store data. *)
+          if ev.mem_is_store && t.spec_pattern && not speculative then begin
             let raw = ref 0 in
             for i = ev.mem_bytes - 1 downto 0 do
               raw := (!raw lsl 8) lor Memory.get_u8 t.mem (ev.mem_addr + i)
@@ -785,11 +850,11 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
           end;
           (* Dynamic bound: report writes to the bound register. *)
           if t.info.pat.cp = Insn.Dyn && rd = t.info.r_bound then begin
-            let v = Exec.get c.hart t.info.r_bound in
-            if Int32.compare v t.bound > 0 then begin
+            let v = c.hart.regs.(rd) in
+            if v > t.bound then begin
               if Trace.enabled t.trace Lanes then
                 Trace.event t.trace Lanes
-                  "[%7d] lmu bound raised %ld -> %ld (lane%d iter=%d)"
+                  "[%7d] lmu bound raised %d -> %d (lane%d iter=%d)"
                   t.cycle t.bound v c.lane c.iter;
               t.bound <- v
             end
@@ -798,20 +863,19 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
              incoming chain value (a write-before-read iteration must not
              have its value clobbered by a later consumption). *)
           if t.has_cirs then
-            Array.iter
-              (fun cb ->
-                 if rd = cb.cir.c_reg then c.got_cir.(cb.slot) <- true;
-                 if cb.cir.c_last_write_pc = ev.pc then
-                   cib_write t cb ~producer_iter:c.iter
-                     ~value:(Exec.get c.hart cb.cir.c_reg))
-              t.cibs;
-          Ok ()
-      end
+            for i = 0 to Array.length t.cibs - 1 do
+              let cb = t.cibs.(i) in
+              if rd = cb.cir.c_reg then c.got_cir.(cb.slot) <- true;
+              if cb.cir.c_last_write_pc = pc then
+                cib_write t cb ~producer_iter:c.iter
+                  ~value:c.hart.regs.(cb.cir.c_reg)
+            done;
+          `Issued
     end
   end
 
 (** Drain one buffered store to memory through the shared port. *)
-let attempt_drain t (c : ctx) : (unit, stall) Result.t =
+let attempt_drain t (c : ctx) : outcome =
   match c.drain_q with
   | [] -> assert false
   | s :: rest ->
@@ -825,8 +889,8 @@ let attempt_drain t (c : ctx) : (unit, stall) Result.t =
         if c.st = Drain_commit then commit_iteration t c
         (* A running promoted context just continues non-speculatively. *)
       end;
-      Ok ()
-    end else Error `Mem
+      `Issued
+    end else `Mem
 
 (* -- Fault injection --------------------------------------------------- *)
 
@@ -850,18 +914,24 @@ let active c = c.st = Run || c.st = Wait_commit
 let apply_fault t (e : Fault.event) =
   match e.ev_kind with
   | Cib_drop ->
+    (* Lose the newest entry, unless it is the only one. *)
     Array.length t.cibs > 0
     && (let cb = t.cibs.(e.ev_lane mod Array.length t.cibs) in
-        match cb.hist with
-        | _ :: (_ :: _ as rest) -> cb.hist <- rest; true
-        | _ -> false)
+        cb.len >= 2
+        && (cb.len <- cb.len - 1;
+            cib_retain cb ~lo:min_int ~hi:max_int;  (* recomputes [hi] *)
+            true))
   | Cib_dup ->
+    (* Replay the newest entry as the next iteration's value. *)
     Array.length t.cibs > 0
     && (let cb = t.cibs.(e.ev_lane mod Array.length t.cibs) in
-        match cb.hist with
-        | (i, v, r) :: _ when cib_lookup cb (i + 1) = None ->
-          cb.hist <- (i + 1, v, r) :: cb.hist; true
-        | _ -> false)
+        cb.len >= 1
+        && (let n = cb.len - 1 in
+            let i = cb.h_iter.(n) in
+            cib_find cb (i + 1) < 0
+            && (cib_push cb ~iter:(i + 1) ~value:cb.h_val.(n)
+                  ~ready:cb.h_ready.(n);
+                true)))
   | Lsq_drop_load ->
     (match pick_ctx t e.ev_lane (fun c -> active c && not (Lsq.is_empty c.lsq))
      with
@@ -881,9 +951,10 @@ let apply_fault t (e : Fault.event) =
        true
      | None -> false)
   | Mivt_stale ->
-    (match t.miv_bases, pick_ctx t e.ev_lane (fun c -> c.st = Run) with
-     | (r, base, _) :: _, Some c -> Exec.set c.hart r base; true
-     | _ -> false)
+    Array.length t.miv_regs > 0
+    && (match pick_ctx t e.ev_lane (fun c -> c.st = Run) with
+        | Some c -> Exec.set_int c.hart t.miv_regs.(0) t.miv_base.(0); true
+        | None -> false)
   | Port_stall ->
     Port.inject_stall t.mem_port ~now:t.cycle
       ~cycles:(32 + 16 * (e.ev_lane land 3));
@@ -907,7 +978,10 @@ let account_lane_cycle t issued (reason : stall) =
     | `Lsq -> s.cyc_stall_lsq <- s.cyc_stall_lsq + 1
     | `Idle | `Frozen -> s.cyc_idle <- s.cyc_idle + 1
 
-let all_idle t = Array.for_all (fun c -> c.st = Idle) t.ctxs
+let all_idle t =
+  let i = ref 0 in
+  while !i < Array.length t.ctxs && t.ctxs.(!i).st = Idle do incr i done;
+  !i = Array.length t.ctxs
 
 (** Merge stall priorities: report the most informative reason seen. *)
 let worse (a : stall) (b : stall) =
@@ -949,9 +1023,10 @@ let classify_hang t : Fault.hang =
     h_detail = detail }
 
 let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
-  let threads = Array.length t.ctxs / t.lpsu.lanes in
+  let lanes = t.lpsu.lanes in
+  let threads = Array.length t.ctxs / lanes in
   let start = t.cycle in
-  let rotate = ref 0 in
+  let rotate = ref 0 in   (* the lane that issues first, < [lanes] *)
   let failure = ref None in
   while !failure = None && not (all_idle t && not (can_dispense t)) do
     if t.cycle - start > fuel then
@@ -979,19 +1054,19 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
          (Fault.due plan ~rel:(t.cycle - start)));
     (* LMU: dispense iteration indices to idle contexts, in lane order.
        Frozen contexts take no new work. *)
-    Array.iter
-      (fun c ->
-         if c.st = Idle && not (frozen t c) && can_dispense t then
-           dispatch t c)
-      t.ctxs;
+    for i = 0 to Array.length t.ctxs - 1 do
+      let c = t.ctxs.(i) in
+      if c.st = Idle && not (frozen t c) && can_dispense t then dispatch t c
+    done;
     try_commits t;
     (* Each lane owns [lane_issue_width] issue slots per cycle (1 in the
        paper's simple lanes; 2 models the "superscalar lane" future
        work).  Vertical multithreading lets the second context use a
        slot when the first stalls; a context that stalls is not retried
        within the cycle. *)
-    for li = 0 to t.lpsu.lanes - 1 do
-      let lane = (li + !rotate) mod t.lpsu.lanes in
+    for li = 0 to lanes - 1 do
+      let lane = if li + !rotate < lanes then li + !rotate
+        else li + !rotate - lanes in
       let budget = ref t.lpsu.lane_issue_width in
       let issued = ref false in
       let reason = ref (`Idle : stall) in
@@ -999,11 +1074,11 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
         let c = t.ctxs.(lane * threads + ti) in
         let stalled = ref false in
         while !budget > 0 && not !stalled do
-          let r =
-            if frozen t c && c.st <> Idle then Error `Frozen
+          let r : outcome =
+            if frozen t c && c.st <> Idle then `Frozen
             else match c.st with
-            | Idle -> Error `Idle
-            | Wait_commit -> Error `Lsq
+            | Idle -> `Idle
+            | Wait_commit -> `Lsq
             | Drain_commit -> attempt_drain t c
             | Run ->
               if c.drain_q <> [] then attempt_drain t c
@@ -1018,10 +1093,10 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
               else attempt_issue t c
           in
           match r with
-          | Ok () ->
+          | `Issued ->
             issued := true;
             decr budget
-          | Error e ->
+          | #stall as e ->
             stalled := true;
             reason := worse !reason e
         done
@@ -1030,26 +1105,26 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
       account_lane_cycle t !issued !reason
     done;
     try_commits t;
-    rotate := !rotate + 1;
+    rotate := (if !rotate + 1 = lanes then 0 else !rotate + 1);
     t.cycle <- t.cycle + 1
     end
   done;
   match !failure with None -> Ok () | Some h -> Error h
 
 let finals t =
-  let k = Int32.of_int t.committed in
+  let k = t.committed in
   let cir_finals =
     Array.to_list t.cibs
     |> List.map (fun cb ->
-        match cib_lookup cb t.committed with
-        | Some (_, v, _) -> (cb.cir.c_reg, v)
-        | None ->
-          (* Can only happen for a loop with zero LPSU iterations. *)
-          (cb.cir.c_reg, Int32.of_int t.base_regs.(cb.cir.c_reg)))
+        let j = cib_find cb k in
+        (* [j < 0] only for a loop with zero LPSU iterations. *)
+        let v = if j >= 0 then cb.h_val.(j) else t.base_regs.(cb.cir.c_reg) in
+        (cb.cir.c_reg, Int32.of_int v))
   in
   let miv_finals =
-    List.map (fun (r, base, inc) -> (r, Int32.add base (Int32.mul k inc)))
-      t.miv_bases
+    List.init (Array.length t.miv_regs) (fun i ->
+        (t.miv_regs.(i),
+         Int32.of_int (norm (t.miv_base.(i) + k * t.miv_inc.(i)))))
   in
   (cir_finals, miv_finals)
 
@@ -1070,7 +1145,7 @@ let run ~prog ~mem ~dcache ~cfg ~stats ~info ~regs ~start_cycle ?stop_after
   stats.xloops_specialized <- stats.xloops_specialized + 1;
   if Trace.enabled trace Decisions then
     Trace.event trace Decisions
-      "[%7d] lpsu start: xloop.%a body=%d idx0=%ld bound=%ld mivs=%d cirs=%d"
+      "[%7d] lpsu start: xloop.%a body=%d idx0=%d bound=%d mivs=%d cirs=%d"
       start_cycle Insn.pp_xpat_suffix info.Scan.pat info.body_len t.idx0
       t.bound (List.length info.mivs) (List.length info.cirs);
   let outcome =
@@ -1106,8 +1181,8 @@ let run ~prog ~mem ~dcache ~cfg ~stats ~info ~regs ~start_cycle ?stop_after
          finished =
            (match t.info.pat.cp with
             | Insn.De -> t.exit_at <> None
-            | Fixed | Dyn -> Int32.compare next_idx t.bound >= 0);
-         next_idx;
-         bound = t.bound;
+            | Fixed | Dyn -> next_idx >= t.bound);
+         next_idx = Int32.of_int next_idx;
+         bound = Int32.of_int t.bound;
          cir_finals;
          miv_finals }

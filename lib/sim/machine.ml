@@ -70,12 +70,13 @@ type t = {
   stats : Stats.t;
   hart : Exec.hart;
   timing : Gpp_timing.t;
-  apt : (int, apt_entry) Hashtbl.t;
-  scan_fail : (int, Scan.fallback_reason) Hashtbl.t;
+  (* Per-pc tables, consulted on every xloop the GPP commits. *)
+  apt : apt_entry option array;
+  scan_fail : Scan.fallback_reason option array;
   faults : Fault.t option;
   watchdog : int;
   degrade : bool;
-  degraded : (int, unit) Hashtbl.t;
+  degraded : bool array;
       (* xloop PCs pinned to traditional execution after a rollback *)
   mutable hangs : Fault.hang list;   (* newest first *)
   mutable insns : int;
@@ -99,14 +100,16 @@ let create ?(adaptive = Config.default_adaptive)
     stats;
     hart = Exec.create_hart ~pc:entry ();
     timing = Gpp_timing.create cfg.Config.gpp stats;
-    apt = Hashtbl.create 8;
-    scan_fail = Hashtbl.create 8;
+    apt = Array.make (Program.length prog) None;
+    scan_fail = Array.make (Program.length prog) None;
     faults; watchdog; degrade;
-    degraded = Hashtbl.create 4;
+    degraded = Array.make (Program.length prog) false;
     hangs = [];
     insns = 0 }
 
 let hangs t = List.rev t.hangs
+
+let set_apt t pc e = t.apt.(pc) <- Some e
 
 (* -- Specialized-execution plumbing ---------------------------------- *)
 
@@ -126,21 +129,21 @@ let writeback t (info : Scan.t) (r : Lpsu.result) =
 (** Analyze the xloop at [pc] for specialization, caching the (static)
     failure reasons so fallback loops do not re-scan on every back-edge. *)
 let analyze t ~pc =
-  match Hashtbl.find_opt t.scan_fail pc with
+  match t.scan_fail.(pc) with
   | Some reason -> Error reason
   | None ->
     (match Scan.analyze t.prog ~xloop_pc:pc ~regs:t.hart.regs
              ~lpsu:(lpsu_cfg t) with
     | Ok info -> Ok info
     | Error reason ->
-      Hashtbl.replace t.scan_fail pc reason;
-      if not (Hashtbl.mem t.apt pc) then begin
+      t.scan_fail.(pc) <- Some reason;
+      if t.apt.(pc) = None then begin
         if Trace.enabled t.trace Decisions then
           Trace.event t.trace Decisions
             "xloop@%d falls back to traditional execution: %a" pc
             Scan.pp_fallback reason;
         t.stats.xloops_traditional <- t.stats.xloops_traditional + 1;
-        Hashtbl.replace t.apt pc (decided false)
+        set_apt t pc (decided false)
       end;
       Error reason)
 
@@ -180,8 +183,8 @@ type spec_outcome =
 
 (** Pin [pc] to traditional execution for the rest of the run. *)
 let mark_degraded t ~pc =
-  Hashtbl.replace t.degraded pc ();
-  Hashtbl.replace t.apt pc (decided false);
+  t.degraded.(pc) <- true;
+  set_apt t pc (decided false);
   t.stats.degradations <- t.stats.degradations + 1;
   t.stats.xloops_traditional <- t.stats.xloops_traditional + 1
 
@@ -262,43 +265,42 @@ let specialize_fully t (info : Scan.t) =
 
 (* -- Adaptive execution ----------------------------------------------- *)
 
+(* Future-work extension (Section II-E): optionally reconsider a decision
+   after it has served a number of dynamic loop instances. *)
+let reprofile_if_stale t ~pc uses =
+  match t.adaptive.reconsider_after with
+  | Some n when uses >= n ->
+    if Trace.enabled t.trace Decisions then
+      Trace.event t.trace Decisions
+        "xloop@%d: decision stale after %d instances; re-profiling" pc
+        uses;
+    set_apt t pc (Profiling { iters = 0; cycles = 0; last_taken = -1 })
+  | _ -> ()
+
 let adaptive_step t ~pc (ev : Exec.event) =
   let now = Gpp_timing.now t.timing in
   let entry =
-    match Hashtbl.find_opt t.apt pc with
+    match t.apt.(pc) with
     | Some e -> e
     | None ->
       let e = Profiling { iters = 0; cycles = 0; last_taken = -1 } in
-      Hashtbl.replace t.apt pc e;
+      set_apt t pc e;
       e
-  in
-  let reprofile_if_stale uses =
-    (* Future-work extension (Section II-E): optionally reconsider a
-       decision after it has served a number of dynamic loop instances. *)
-    match t.adaptive.reconsider_after with
-    | Some n when uses >= n ->
-      if Trace.enabled t.trace Decisions then
-        Trace.event t.trace Decisions
-          "xloop@%d: decision stale after %d instances; re-profiling" pc
-          uses;
-      Hashtbl.replace t.apt pc
-        (Profiling { iters = 0; cycles = 0; last_taken = -1 })
-    | _ -> ()
   in
   match entry with
   | Decided ({ spec = false; _ } as d) ->
     (* A traditional instance completes when the xloop falls through. *)
     if not ev.taken then begin
       d.uses <- d.uses + 1;
-      reprofile_if_stale d.uses
+      reprofile_if_stale t ~pc d.uses
     end
   | Decided ({ spec = true; _ } as d) ->
     if ev.taken then begin
       (match analyze t ~pc with
        | Ok info -> specialize_fully t info
-       | Error _ -> Hashtbl.replace t.apt pc (decided false));
+       | Error _ -> set_apt t pc (decided false));
       d.uses <- d.uses + 1;
-      reprofile_if_stale d.uses
+      reprofile_if_stale t ~pc d.uses
     end
   | Profiling p ->
     if not ev.taken then p.last_taken <- -1
@@ -309,7 +311,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
       if p.iters >= t.adaptive.profile_iters
       || p.cycles >= t.adaptive.profile_cycles then begin
         match analyze t ~pc with
-        | Error _ -> Hashtbl.replace t.apt pc (decided false)
+        | Error _ -> set_apt t pc (decided false)
         | Ok info ->
           (* LPSU profiling phase: same number of iterations as measured
              traditionally. *)
@@ -328,7 +330,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
             in
             if r.finished then begin
               t.hart.pc <- info.xloop_pc + 1;
-              Hashtbl.replace t.apt pc (decided spec_faster)
+              set_apt t pc (decided spec_faster)
             end else if spec_faster then begin
               (* Stay on the LPSU for the rest of the loop. *)
               match try_specialize t info with
@@ -336,7 +338,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
               | Completed r2 ->
                 assert r2.finished;
                 t.hart.pc <- info.xloop_pc + 1;
-                Hashtbl.replace t.apt pc (decided true)
+                set_apt t pc (decided true)
             end else begin
               (* Migrate back: the GPP finishes the remaining iterations. *)
               if Trace.enabled t.trace Decisions then
@@ -345,22 +347,22 @@ let adaptive_step t ~pc (ev : Exec.event) =
                    migrating back to the GPP" pc r.cycles r.iterations;
               t.stats.migrations <- t.stats.migrations + 1;
               t.hart.pc <- info.body_start;
-              Hashtbl.replace t.apt pc (decided false)
+              set_apt t pc (decided false)
             end
       end
     end
 
 (* -- Main loop --------------------------------------------------------- *)
 
-(** Execute the program to completion ([Halt]).  [fuel] bounds the number
-    of GPP-committed instructions; exhausting it — or an LPSU hang with
-    degradation disabled — is reported as [Error], never raised. *)
+(** Execute the program to completion ([Halt]).  The GPP commits at most
+    [fuel] instructions; exhausting it — or an LPSU hang with degradation
+    disabled — is reported as [Error], never raised. *)
 let run ?(fuel = 500_000_000) t : (result, failure) Stdlib.result =
   try
     (try
        let steps = ref 0 in
        while true do
-         if !steps > fuel then
+         if !steps >= fuel then
            raise (Stuck (Out_of_fuel { pc = t.hart.pc; insns = !steps;
                                        cycle = Gpp_timing.now t.timing }));
          incr steps;
@@ -374,7 +376,7 @@ let run ?(fuel = 500_000_000) t : (result, failure) Stdlib.result =
          (match Exec.event_insn ev with
           | Xloop (_, _, _, _)
             when t.cfg.Config.lpsu <> None
-              && not (Hashtbl.mem t.degraded ev.pc) ->
+              && not t.degraded.(ev.pc) ->
             if ev.taken then t.stats.iterations <- t.stats.iterations + 1;
             (match t.mode with
              | Traditional -> ()

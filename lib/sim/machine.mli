@@ -63,8 +63,9 @@ val hangs : t -> Fault.hang list
 (** Watchdog diagnostics collected so far, in chronological order. *)
 
 val run : ?fuel:int -> t -> (result, failure) Stdlib.result
-(** Execute to [Halt].  [fuel] bounds GPP-committed instructions;
-    exhausting it is [Error (Out_of_fuel _)], never an exception. *)
+(** Execute to [Halt].  The GPP commits at most [fuel] instructions
+    (as {!Exec.run_serial}); exhausting it is [Error (Out_of_fuel _)],
+    never an exception. *)
 
 val ok_exn : (result, failure) Stdlib.result -> result
 (** Unwrap, raising [Failure] with a one-line diagnostic on [Error] —

@@ -85,6 +85,26 @@ let create () = {
   cyc_stall_cir = 0; cyc_stall_lsq = 0; cyc_squash = 0; cyc_idle = 0;
 }
 
+(** Decode-side counters of the instruction at [pc], read from the
+    program's per-pc timing table: one decode, its register-file reads
+    and write, its operation class and whether it is a branch. *)
+let count_decode s (tm : Xloops_asm.Program.timing) pc =
+  s.decodes <- s.decodes + 1;
+  s.rf_reads <- s.rf_reads
+                + (if tm.src1.(pc) >= 0 then 1 else 0)
+                + (if tm.src2.(pc) >= 0 then 1 else 0);
+  if tm.dst.(pc) >= 0 then s.rf_writes <- s.rf_writes + 1;
+  (match tm.op.(pc) with
+   | Op_alu -> s.alu_ops <- s.alu_ops + 1
+   | Op_mul -> s.mul_ops <- s.mul_ops + 1
+   | Op_div -> s.div_ops <- s.div_ops + 1
+   | Op_fpu -> s.fpu_ops <- s.fpu_ops + 1
+   | Op_xi -> s.xi_ops <- s.xi_ops + 1
+   | Op_amo -> s.amo_ops <- s.amo_ops + 1);
+  match tm.branch.(pc) with
+  | Br_none -> ()
+  | Br_cond | Br_other -> s.branches <- s.branches + 1
+
 (** [merge ~into src] adds every counter of [src] into [into]. *)
 let merge ~into (s : t) =
   into.committed_insns <- into.committed_insns + s.committed_insns;

@@ -60,6 +60,12 @@ type t = {
 
 val create : unit -> t
 
+val count_decode : t -> Xloops_asm.Program.timing -> int -> unit
+(** [count_decode s tm pc] accounts one decode of the instruction at
+    [pc]: register-file reads and writes, its operation-class counter
+    and [branches] — the per-instruction events every timing model
+    (GPP and LPSU lanes) charges. *)
+
 val merge : into:t -> t -> unit
 (** Add every counter of the second argument into [into]. *)
 

@@ -56,16 +56,7 @@ type compiled = {
 
 and lane_meta =
   | L_slow
-  | L_plain of {
-      l_op : op;             (** the pc's single-op closure *)
-      l_insn : int Xloops_isa.Insn.t;
-      l_rd : int;            (** dest register, -1 when none *)
-      l_s1 : int;            (** source registers, -1 when absent *)
-      l_s2 : int;
-      l_ctrl : int;
-          (** 0 = never redirects; 1 = conditional (taken iff the
-              outgoing pc differs from pc+1); 2 = always taken *)
-    }
+  | L_plain of op  (** the pc's single-op closure *)
 
 let sext_shift = Sys.int_size - 32
 let[@inline] norm v = (v lsl sext_shift) asr sext_shift
@@ -1033,31 +1024,25 @@ let max_block_len = 64
    broadcasts), no long-latency unit, no loop bookkeeping, and a control
    transfer only when "taken" is recoverable from the outgoing pc — a
    conditional branch targeting its own fall-through is indistinguishable
-   either way, so it stays slow.  The LPSU demotes further pcs it
+   either way, so it stays slow.  Registers and branch kind come from
+   the program's per-pc timing table.  The LPSU demotes further pcs it
    observes (CIR registers, last-CIR-write pcs, dynamic-bound writes)
    and bypasses the whole array under any attached observer. *)
-let lane_meta_of (src : int Insn.t array) (uops : P.uop array)
-    (ops : op array) : lane_meta array =
-  Array.init (Array.length uops) (fun pc ->
-      let insn = src.(pc) and u = uops.(pc) in
-      let plain =
-        uop_valid u && not (Insn.is_mem insn) && not (Insn.is_llfu insn)
-        && (match u with
-            | P.U_xloop_de _ | U_xloop_cmp _ | U_halt -> false
-            | U_branch (_, _, _, l) -> l <> pc + 1
-            | _ -> true)
-      in
-      if not plain then L_slow
-      else
-        let ctrl = match u with
-          | P.U_branch _ -> 1
-          | U_jump _ | U_jal _ | U_jr _ -> 2
-          | _ -> 0
-        in
-        L_plain { l_op = ops.(pc); l_insn = insn;
-                  l_rd = Insn.dest_reg insn;
-                  l_s1 = Insn.src1 insn; l_s2 = Insn.src2 insn;
-                  l_ctrl = ctrl })
+let lane_meta_of (pre : Program.predecoded) (ops : op array)
+  : lane_meta array =
+  let lat = pre.P.timing.P.lat in
+  Array.mapi
+    (fun pc u ->
+       let plain =
+         uop_valid u && lat.(pc) = P.Lat_alu
+         && (match u with
+             | P.U_load _ | U_store _ | U_amo _
+             | U_xloop_de _ | U_xloop_cmp _ | U_halt -> false
+             | U_branch (_, _, _, l) -> l <> pc + 1
+             | _ -> true)
+       in
+       if plain then L_plain ops.(pc) else L_slow)
+    pre.P.uops
 
 (* -- Compilation ------------------------------------------------------- *)
 
@@ -1113,7 +1098,7 @@ let compile_fresh (pre : Program.predecoded) : compiled =
   done;
   { pre; ops; sup; rules = !rules; blk; max_block = !max_block;
     spans = !spans; btriples = !btriples;
-    lane = lane_meta_of src uops ops }
+    lane = lane_meta_of pre ops }
 
 (* Per-domain memo keyed by physical equality, same shape as the
    predecode memo: sweeps re-run the same few programs thousands of

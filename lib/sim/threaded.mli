@@ -79,21 +79,15 @@ val run_serial_block_profiled : ?entry:int -> ?fuel:int -> Program.t ->
     execute through the compiled closure — single-cycle, portless,
     trapless, no memory traffic, no long-latency unit, no loop
     bookkeeping, and any control transfer recoverable from the outgoing
-    pc ([l_ctrl]: 0 = never redirects, 1 = conditional, taken iff the
-    outgoing pc differs from pc+1, 2 = always taken).  The LPSU demotes
-    additional pcs it observes (CIR registers, last-CIR-write pcs,
-    dynamic-bound writes) and skips the fast path entirely under any
-    attached observer. *)
+    pc (a conditional branch is taken iff the outgoing pc differs from
+    pc+1).  The lane reads the instruction's registers and branch kind
+    from the program's per-pc timing table ({!Program.timing}).  The
+    LPSU demotes additional pcs it observes (CIR registers,
+    last-CIR-write pcs, dynamic-bound writes) and skips the fast path
+    entirely under any attached observer. *)
 type lane_meta =
   | L_slow
-  | L_plain of {
-      l_op : op;
-      l_insn : int Xloops_isa.Insn.t;
-      l_rd : int;   (** dest register, -1 when none *)
-      l_s1 : int;   (** source registers, -1 when absent *)
-      l_s2 : int;
-      l_ctrl : int;
-    }
+  | L_plain of op  (** the pc's single-op closure *)
 
 val lane_meta : Program.predecoded -> lane_meta array
 (** Memoized with the compiled program (per domain, physical equality);

@@ -437,7 +437,7 @@ let test_machine_fuel () =
   | Error (Machine.Lpsu_hang _) -> Alcotest.fail "expected Out_of_fuel"
   | Error (Machine.Out_of_fuel { pc; insns; cycle = _ }) ->
     Alcotest.(check int) "pc at the spin" 0 pc;
-    Alcotest.(check bool) "burned the budget" true (insns > 5000)
+    Alcotest.(check int) "burned exactly the budget" 5000 insns
 
 let test_superscalar_lanes_help_or () =
   (* Dual-issue lanes attack exactly what limits the or kernels: the
