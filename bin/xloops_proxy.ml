@@ -139,8 +139,7 @@ let cmd =
   Cmd.v (Cmd.info "xloops_proxy" ~doc)
     Term.(const proxy $ listen_arg $ shard_arg $ client_op_arg $ json_arg
           $ chunk_arg $ max_attempts_arg $ no_failover_arg
-          $ Cli_common.engine_term ~pool:true
-              ~tier_default:Xloops.Sim.Tier.Block ()
+          $ Cli_common.engine_term ~pool:true ()
           $ banner_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

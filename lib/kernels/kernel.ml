@@ -117,12 +117,11 @@ let run ?target ?cfg ?mode ?adaptive ?faults ?watchdog ?degrade ?fuel
                            Machine.pp_failure f)
 
 (** Dynamic instruction count of the serial functional execution —
-    Table II's dynamic-instruction columns.  Observer-free, so it runs
-    through the selected execution tier ({!Xloops_sim.Tier}). *)
+    Table II's dynamic-instruction columns. *)
 let dynamic_insns ?(target = Compile.xloops) (k : t) =
   let compiled = Compile.compile ~target k.kernel in
   let mem = Memory.create () in
   k.init compiled.array_base mem;
-  match Xloops_sim.Tier.run_serial compiled.program mem with
+  match Xloops_sim.Exec.run_serial compiled.program mem with
   | Ok r -> Ok r.dynamic_insns
   | Error stop -> Error (Fmt.str "%s: %a" k.name Xloops_sim.Exec.pp_stop stop)

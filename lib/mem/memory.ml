@@ -200,10 +200,10 @@ let store t (w : Insn.width) addr (v : int32) =
   | W -> set_i32 t addr v
 
 (* Native-int variants of the architectural accessors, for executors
-   whose register file is already sign-extended native ints (the
-   predecoded and direct-threaded tiers): same checks, counters and
-   journal behavior, but the value crosses the call boundary as an
-   unboxed [int] instead of a boxed [int32]. *)
+   whose register file is already sign-extended native ints
+   ([Exec.step]): same checks, counters and journal behavior, but the
+   value crosses the call boundary as an unboxed [int] instead of a
+   boxed [int32]. *)
 
 let load_int t (w : Insn.width) addr : int =
   t.loads <- t.loads + 1;

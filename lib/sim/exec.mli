@@ -106,12 +106,12 @@ val pp_stop : Format.formatter -> stop -> unit
 
 val run_serial : ?entry:int -> ?fuel:int -> Program.t ->
   Xloops_mem.Memory.t -> (run, stop) result
-(** Reference serial execution until [Halt]; the paper's
-    dynamic-instruction-count columns come from here.  Fuel exhaustion
-    is reported as [Error], not raised.  Predecodes (memoized)
-    internally. *)
+(** Observer-free serial execution through {!step} until [Halt]; the
+    paper's dynamic-instruction-count columns come from here.  Fuel
+    exhaustion is reported as [Error], not raised.  Predecodes
+    (memoized) internally. *)
 
 val run_serial_ref : ?entry:int -> ?fuel:int -> Program.t ->
   Xloops_mem.Memory.t -> (run, stop) result
-(** [run_serial] through {!step_ref} — original decode path, for
-    differential tests. *)
+(** [run_serial] through {!step_ref}: the oracle the differential tests
+    compare [run_serial] against. *)

@@ -70,9 +70,6 @@ type ctx = {
      step uses and the result latency. *)
   mutable step_if : Exec.mem_iface;
   mutable step_lat : int;
-  tstate : Threaded.state;            (** compiled-closure view of this
-                                          hart ([regs] aliased) for the
-                                          lane fast path *)
 }
 
 (* A CIB chain's history of (consumer iteration, value, ready cycle)
@@ -143,10 +140,10 @@ type t = {
   faults : Fault.t option;
   (* Lane fast path: per-pc compiled-closure dispatch for instructions
      whose lane-level effects are fully recoverable without the event
-     record ({!Threaded.lane_meta}, further demoted below for CIR and
+     record ({!Lane_op.lane_meta}, further demoted below for CIR and
      dynamic-bound bookkeeping).  [fast_ok] gates the whole array off
-     whenever an observer is attached or the reference tier is forced. *)
-  lane_fast : Threaded.lane_meta array;
+     whenever an observer is attached. *)
+  lane_fast : Lane_op.lane_meta array;
   fast_ok : bool;
   watchdog : int;                (* no-progress cycles before a hang; 0=off *)
   mutable last_progress : int;   (* cycle of the last dispatch or commit *)
@@ -247,9 +244,7 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ~(info : Scan.t)
           (* real interfaces are installed after [t] exists *)
           spec_if = direct_if; fwd_if = direct_if;
           fwd_src = -1; fwd_raw = 0l; fwd_addr = -1; fwd_bytes = 0;
-          step_if = direct_if; step_lat = 1;
-          tstate = { Threaded.regs = hart.Exec.regs; mem;
-                     pc = 0; retired = 0 } })
+          step_if = direct_if; step_lat = 1 })
   in
   let cib_cap = 2 * Array.length ctxs + 8 in
   let cibs =
@@ -266,20 +261,20 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ~(info : Scan.t)
   let mivs = Array.of_list info.mivs in
   let pre = Program.predecode prog in
   let tm = pre.timing in
-  (* Start from the compiled tier's per-pc metadata, then demote the
+  (* Start from the lane closures' per-pc metadata, then demote the
      pcs whose execution the LPSU must see one at a time: anything
      reading a CIR (first-read stall and got_cir bookkeeping), anything
      writing one (got_cir), the last-CIR-write pc (CIB forwarding), and
      dynamic-bound writes (LMU bound raising). *)
-  let lane_fast = Array.copy (Threaded.lane_meta pre) in
+  let lane_fast = Array.copy (Lane_op.lane_meta pre) in
   let demote pc =
     if pc >= 0 && pc < Array.length lane_fast then
-      lane_fast.(pc) <- Threaded.L_slow
+      lane_fast.(pc) <- Lane_op.L_slow
   in
   Array.iteri
     (fun pc m ->
        match m with
-       | Threaded.L_plain _ ->
+       | Lane_op.L_plain _ ->
          let cir r =
            r >= 0
            && List.exists (fun (c : Scan.cir) -> c.c_reg = r) info.cirs
@@ -287,10 +282,10 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ~(info : Scan.t)
          let rd = tm.dst.(pc) in
          if cir rd || cir tm.src1.(pc) || cir tm.src2.(pc) then demote pc;
          if info.pat.cp = Insn.Dyn && rd = info.r_bound then demote pc
-       | Threaded.L_slow -> ())
+       | Lane_op.L_slow -> ())
     lane_fast;
   List.iter (fun (c : Scan.cir) -> demote c.c_last_write_pc) info.cirs;
-  let fast_ok = trace = None && faults = None && Tier.get () <> Tier.Ref in
+  let fast_ok = trace = None && faults = None in
   let lat = Gpp_timing.latencies_of cfg.gpp in
   let t =
     { pre; mem; direct_if;
@@ -763,13 +758,13 @@ let attempt_issue t (c : ctx) : outcome =
     let speculative = t.spec_pattern && c.iter > t.commit_iter in
     match
       (if t.fast_ok && not speculative then t.lane_fast.(pc)
-       else Threaded.L_slow)
+       else Lane_op.L_slow)
     with
-    | Threaded.L_plain op ->
+    | Lane_op.L_plain op ->
       (* Fast path: a plain single-cycle instruction on a
          non-speculative context with no observer attached.  The
          compiled closure replays exactly [Exec.step]'s architectural
-         effects (the register file is aliased), and every lane-level
+         effects on the hart's register file, and every lane-level
          effect — issue accounting, RAW scoreboard, taken-branch
          bubble — is recovered from the timing table and the outgoing
          pc. *)
@@ -779,9 +774,8 @@ let attempt_issue t (c : ctx) : outcome =
       in
       if ready > now then `Raw
       else begin
-        let st = c.tstate in
-        op st;
-        c.hart.pc <- st.Threaded.pc;
+        let npc = op c.hart.regs in
+        c.hart.pc <- npc;
         c.insns_iter <- c.insns_iter + 1;
         t.stats.ib_fetches <- t.stats.ib_fetches + 1;
         Stats.count_decode t.stats tm pc;
@@ -789,11 +783,11 @@ let attempt_issue t (c : ctx) : outcome =
         if rd >= 0 then c.reg_ready.(rd) <- now + 1;
         (match tm.branch.(pc) with
          | Br_other -> c.next_issue <- now + 2
-         | Br_cond -> if st.Threaded.pc <> pc + 1 then c.next_issue <- now + 2
+         | Br_cond -> if npc <> pc + 1 then c.next_issue <- now + 2
          | Br_none -> ());
         `Issued
       end
-    | Threaded.L_slow ->
+    | Lane_op.L_slow ->
     (* CIR consumption: the first read of each CIR waits on the CIB. *)
     let cir_stall = ref false in
     if t.has_cirs then begin

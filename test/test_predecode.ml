@@ -9,9 +9,11 @@
    - whole-program differential: random ISA programs (forward control
      flow only, so termination is structural) and every registry kernel
      run to identical registers, memory and instruction counts through
-     both executors;
+     both executors, which also agree on out-of-fuel payloads and trap
+     messages;
    - allocation regression: a multi-million-instruction straight-line
-     run must stay under a small constant of bytes per instruction. *)
+     run must stay under a small constant of bytes per instruction, per
+     step and through the whole-program [run_serial] loop. *)
 
 open Xloops_isa
 module B = Xloops_asm.Builder
@@ -209,6 +211,46 @@ let test_registry_differential () =
            k.Kernel.name)
     Registry.table2
 
+(* Out-of-fuel payloads at exact exhaustion boundaries, inside and
+   around the loop body: the random-program property only checks that
+   both executors stop, this checks where. *)
+let test_fuel_edges () =
+  let b = B.create () in
+  B.li b 8 1;
+  B.li b 9 50;
+  B.li b 10 0;
+  B.label b "top";
+  for _ = 0 to 15 do B.add b 10 10 8 done;
+  B.addi b 9 9 (-1);
+  B.bne b 9 0 "top";
+  B.halt b;
+  let p = B.assemble b in
+  List.iter
+    (fun fuel ->
+       let m1 = Memory.create () and m2 = Memory.create () in
+       match Exec.run_serial ~fuel p m1, Exec.run_serial_ref ~fuel p m2 with
+       | Error s1, Error s2 ->
+         if s1 <> s2 then
+           Alcotest.failf "fuel %d: %a vs %a" fuel
+             Exec.pp_stop s1 Exec.pp_stop s2
+       | Ok r1, Ok r2 ->
+         Alcotest.(check int) (Fmt.str "fuel %d insns" fuel)
+           r2.Exec.dynamic_insns r1.Exec.dynamic_insns
+       | _ ->
+         Alcotest.failf "fuel %d: executors disagree on termination" fuel)
+    [ 0; 1; 2; 3; 4; 5; 17; 18; 19; 20; 21; 37; 38; 39; 1000 ]
+
+let test_trap_parity () =
+  (* no halt: running off the end must trap identically *)
+  let p = { Program.insns = [| Insn.Alu (Add, 1, 1, 1) |]; symbols = [] } in
+  let msg run =
+    let m = Memory.create () in
+    try ignore (run p m); "no-trap" with Exec.Trap m -> m
+  in
+  Alcotest.(check string) "trap message"
+    (msg (fun p m -> Exec.run_serial_ref p m))
+    (msg (fun p m -> Exec.run_serial p m))
+
 (* -- concurrent predecode (Domains) ------------------------------------ *)
 
 (* Predecode is called from the sweep worker pool: several domains hit
@@ -293,6 +335,21 @@ let test_step_allocation () =
   Alcotest.(check bool)
     (Fmt.str "%.4f bytes/insn within budget" per) true (per <= 2.0)
 
+let test_run_allocation () =
+  let p = straightline ~iters:100_000 in
+  (* warm-up fills the predecode memo *)
+  ignore (Exec.run_serial p (Memory.create ()));
+  let mem = Memory.create () in
+  let a0 = Gc.allocated_bytes () in
+  let insns =
+    match Exec.run_serial p mem with
+    | Ok r -> r.Exec.dynamic_insns
+    | Error stop -> Alcotest.failf "run: %a" Exec.pp_stop stop
+  in
+  let per = (Gc.allocated_bytes () -. a0) /. float_of_int insns in
+  Alcotest.(check bool)
+    (Fmt.str "%.5f bytes/insn within budget" per) true (per <= 0.05)
+
 let () =
   Alcotest.run "predecode"
     [ ("operators",
@@ -301,12 +358,16 @@ let () =
       ("differential",
        [ QCheck_alcotest.to_alcotest prop_predecode_differential;
          Alcotest.test_case "registry kernels" `Quick
-           test_registry_differential ]);
+           test_registry_differential;
+         Alcotest.test_case "fuel edges" `Quick test_fuel_edges;
+         Alcotest.test_case "trap parity" `Quick test_trap_parity ]);
       ("concurrency",
        [ QCheck_alcotest.to_alcotest prop_concurrent_predecode;
          Alcotest.test_case "registry programs, 4 domains" `Quick
            test_concurrent_predecode_registry ]);
       ("allocation",
        [ Alcotest.test_case "straight-line steps" `Quick
-           test_step_allocation ]);
+           test_step_allocation;
+         Alcotest.test_case "straight-line run" `Quick
+           test_run_allocation ]);
     ]
