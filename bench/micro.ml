@@ -8,7 +8,7 @@
      dune exec bench/micro.exe                   # table + BENCH_interp.json
      dune exec bench/micro.exe -- --check        # also enforce the committed
                                                  # bytes/insn + MIPS gates
-     dune exec bench/micro.exe -- --repeat 5 --json out.json
+     dune exec bench/micro.exe -- --repeat 9 --json out.json
      dune exec bench/micro.exe -- --diff-schema BENCH_interp.json out.json
 
    MIPS numbers are host- and load-dependent (the table reports the best
@@ -16,7 +16,7 @@
    why the --check regression gate is primarily on allocation.  The MIPS
    gate is deliberately loose: absolute floors far below any healthy
    host, plus a host-independent relative floor (predecode must not lose
-   to ref on any workload). *)
+   to ref on any workload, judged on adjacent timing windows). *)
 
 module B = Xloops.Asm.Builder
 module Program = Xloops.Asm.Program
@@ -81,6 +81,10 @@ let mips_floor ~tier name =
 
 (* Host-independent gate: (workload, faster executor, baseline executor,
    minimum MIPS ratio), both sides measured in the same process.  The
+   ratio checked is the median, over the repeats, of the two executors'
+   adjacent windows ([measure] alternates them), not a ratio of
+   best-of-repeat figures: a single burst or stall of the host then
+   moves one pair, not the verdict.  The
    rows at 1.0 pin the bfs-uc-db fix: predecode strictly dominates the
    boxed reference on every kernel, so any recurrence of a
    predecode-loses row fails --check instead of landing in the
@@ -107,6 +111,7 @@ type sample = {
   s_tier : string;
   s_insns : int;
   s_mips : float;          (* best of the repeats *)
+  s_windows : float array; (* MIPS of every repeat, in repeat order *)
   s_bytes_per_insn : float;
 }
 
@@ -124,47 +129,66 @@ type sample = {
    collection debt. *)
 let min_window = 0.02
 
-let measure ~repeat (tier, run) name prog mem_of =
+(* One workload on every executor.  Each executor is warmed and sized
+   first; then the timing windows alternate between the executors, in
+   reversed order on every other repeat, so host drift (a noisy
+   neighbour, frequency scaling) lands on both sides of the relative
+   floor alike instead of on whichever executor happened to run during
+   it. *)
+let measure ~repeat name prog mem_of =
   let insns_of = function
     | Ok r -> r.Exec.dynamic_insns
     | Error stop -> Fmt.failwith "%s: %a" name Exec.pp_stop stop
   in
-  (* Warm-up run: predecode memo, branch-predictable GC state;
-     also sizes the batch for the minimum window. *)
-  let t0 = Unix.gettimeofday () in
-  let insns = insns_of (run prog (mem_of ())) in
-  let t1 = Unix.gettimeofday () -. t0 in
-  let batch =
-    max 1 (min 256 (int_of_float (ceil (min_window /. Float.max t1 1e-6))))
+  let prepare (tier, run) =
+    (* Warm-up run: predecode memo, branch-predictable GC state;
+       also sizes the batch for the minimum window. *)
+    let t0 = Unix.gettimeofday () in
+    let insns = insns_of (run prog (mem_of ())) in
+    let t1 = Unix.gettimeofday () -. t0 in
+    let batch =
+      max 1 (min 256 (int_of_float (ceil (min_window /. Float.max t1 1e-6))))
+    in
+    (* Allocation is measured over a single un-batched run, minor heap
+       drained first: on OCaml 5.1 a minor collection inside the counted
+       region credits roughly the whole minor arena to
+       [Gc.allocated_bytes], so a batched window that crosses a minor GC
+       over-reports the compiled kernels' ~17 KB/run by 100x.  One run
+       stays under the trigger, and the committed budgets were measured
+       this way. *)
+    let alloc_mem = mem_of () in
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    let ai = insns_of (run prog alloc_mem) in
+    let bytes = (Gc.allocated_bytes () -. a0) /. float_of_int ai in
+    (tier, run, insns, batch, bytes)
   in
-  (* Allocation is measured over a single un-batched run, minor heap
-     drained first: on OCaml 5.1 a minor collection inside the counted
-     region credits roughly the whole minor arena to
-     [Gc.allocated_bytes], so a batched window that crosses a minor GC
-     over-reports the compiled kernels' ~17 KB/run by 100x.  One run
-     stays under the trigger, and the committed budgets were measured
-     this way. *)
-  let alloc_mem = mem_of () in
-  Gc.minor ();
-  let a0 = Gc.allocated_bytes () in
-  let ai = insns_of (run prog alloc_mem) in
-  let bytes = (Gc.allocated_bytes () -. a0) /. float_of_int ai in
-  let best_mips = ref 0.0 in
-  for _ = 1 to repeat do
+  let prepared = Array.of_list (List.map prepare executors) in
+  let windows = Array.map (fun _ -> Array.make repeat 0.0) prepared in
+  let window r i =
+    let (_, run, _, batch, _) = prepared.(i) in
     (* fresh memories outside the window: runs mutate their memory *)
     let mems = Array.init batch (fun _ -> mem_of ()) in
     Gc.minor ();
     let total = ref 0 in
     let t0 = Unix.gettimeofday () in
-    for i = 0 to batch - 1 do
-      total := !total + insns_of (run prog mems.(i))
+    for b = 0 to batch - 1 do
+      total := !total + insns_of (run prog mems.(b))
     done;
     let dt = Unix.gettimeofday () -. t0 in
-    best_mips :=
-      Float.max !best_mips (float_of_int !total /. dt /. 1e6)
+    windows.(i).(r) <- float_of_int !total /. dt /. 1e6
+  in
+  let order = List.init (Array.length prepared) Fun.id in
+  for r = 0 to repeat - 1 do
+    List.iter (window r) (if r land 1 = 0 then order else List.rev order)
   done;
-  { s_name = name; s_tier = tier; s_insns = insns; s_mips = !best_mips;
-    s_bytes_per_insn = bytes }
+  Array.to_list
+    (Array.mapi
+       (fun i (tier, _, insns, _, bytes) ->
+          { s_name = name; s_tier = tier; s_insns = insns;
+            s_mips = Array.fold_left Float.max 0.0 windows.(i);
+            s_windows = windows.(i); s_bytes_per_insn = bytes })
+       prepared)
 
 let kernel_workload name =
   let k = Registry.find name in
@@ -345,18 +369,27 @@ let check samples =
             s.s_name s.s_tier s.s_mips floor
         | _ -> ()))
     samples;
-  let mips_of name tier =
+  let windows_of name tier =
     List.find_map
       (fun s ->
-         if s.s_name = name && s.s_tier = tier then Some s.s_mips else None)
+         if s.s_name = name && s.s_tier = tier then Some s.s_windows
+         else None)
       samples
+  in
+  let median a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    let n = Array.length a in
+    if n land 1 = 1 then a.(n / 2) else (a.(n / 2 - 1) +. a.(n / 2)) /. 2.
   in
   List.iter
     (fun (wl, fast, slow, ratio) ->
-       match mips_of wl fast, mips_of wl slow with
-       | Some f, Some s when f < ratio *. s ->
-         err "%s: %s %.1f MIPS < %.1fx %s (%.1f MIPS)"
-           wl fast f ratio slow s
+       match windows_of wl fast, windows_of wl slow with
+       | Some f, Some s ->
+         let r = median (Array.map2 ( /. ) f s) in
+         if r < ratio then
+           err "%s: %s/%s median window ratio %.2f < %.1f"
+             wl fast slow r ratio
        | _ -> ())
     relative_floors;
   !ok
@@ -364,13 +397,13 @@ let check samples =
 (* -- Driver ------------------------------------------------------------- *)
 
 let () =
-  let repeat = ref 3 in
+  let repeat = ref 5 in
   let out = ref "BENCH_interp.json" in
   let do_check = ref false in
   let diff = ref None in
   let diff_a = ref "" in
   Arg.parse
-    [ "--repeat", Arg.Set_int repeat, "N  measurement repetitions (default 3)";
+    [ "--repeat", Arg.Set_int repeat, "N  measurement repetitions (default 5)";
       "--json", Arg.Set_string out,
       "FILE  JSON output (default BENCH_interp.json)";
       "-o", Arg.Set_string out, "FILE  alias for --json";
@@ -399,10 +432,7 @@ let () =
   in
   let samples =
     List.concat_map
-      (fun (name, prog, mem_of) ->
-         List.map
-           (fun ex -> measure ~repeat:!repeat ex name prog mem_of)
-           executors)
+      (fun (name, prog, mem_of) -> measure ~repeat:!repeat name prog mem_of)
       workloads
   in
   Fmt.pr "%-14s %-10s %12s %9s %13s %9s@." "workload" "tier" "insns"

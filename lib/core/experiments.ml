@@ -124,17 +124,7 @@ let caching_engine ?cache () : engine =
     let key = Run_spec.cache_key spec in
     match locked (fun () -> Hashtbl.find_opt memo_runs key) with
     | Some rd -> rd
-    | None ->
-      let rd =
-        match Option.bind cache (fun c -> Run_cache.find_run c ~key) with
-        | Some rd -> rd.stats.Stats.cache_hits <- 1; rd
-        | None ->
-          let rd = Run_spec.execute spec in
-          Option.iter (fun c -> Run_cache.store_run c ~key rd) cache;
-          rd.stats.Stats.cache_misses <- 1;
-          rd
-      in
-      publish memo_runs key rd
+    | None -> publish memo_runs key (Run_cache.find_or_execute ?cache spec)
   in
   let meta k =
     let key = Run_spec.kernel_digest k in

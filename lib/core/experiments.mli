@@ -74,7 +74,8 @@ val direct_engine : engine
 
 val caching_engine : ?cache:Run_cache.t -> unit -> engine
 (** Thread-safe in-memory memoization on top of the optional on-disk
-    cache.  Disk hits get [stats.cache_hits = 1]; fresh simulations get
+    cache, through {!Run_cache.find_or_execute}: disk hits get
+    [stats.cache_hits = 1]; fresh simulations get
     [stats.cache_misses = 1]. *)
 
 (** {1 Fault-tolerant sweeps}

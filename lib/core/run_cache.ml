@@ -206,6 +206,25 @@ let store_run cache ~key (rd : Run_spec.run_data) =
   index_insert cache ~key ~suffix:".run";
   counted cache (fun () -> cache.stores <- cache.stores + 1)
 
+(* The one cache-or-simulate path, shared by the in-process engine, the
+   service workers and the proxy's failover.  The blob is stored before
+   the miss marker is set, so a later hit reads [cache_hits = 1] only. *)
+let find_or_execute ?cache spec : Run_spec.run_data =
+  let simulated (rd : Run_spec.run_data) =
+    rd.stats.cache_misses <- 1;
+    rd
+  in
+  match cache with
+  | None -> simulated (Run_spec.execute spec)
+  | Some cache ->
+    let key = Run_spec.cache_key spec in
+    match find_run cache ~key with
+    | Some rd -> rd.stats.cache_hits <- 1; rd
+    | None ->
+      let rd = Run_spec.execute spec in
+      store_run cache ~key rd;
+      simulated rd
+
 let find_meta cache ~key : int array option =
   find cache ~key ~suffix:".meta"
 

@@ -41,6 +41,13 @@ val create :
 val find_run : t -> key:Digest_hex.t -> Run_spec.run_data option
 val store_run : t -> key:Digest_hex.t -> Run_spec.run_data -> unit
 
+val find_or_execute : ?cache:t -> Run_spec.t -> Run_spec.run_data
+(** Cache-or-simulate: with a [cache], look the spec up under its
+    {!Run_spec.cache_key} and mark a hit [stats.cache_hits = 1];
+    otherwise {!Run_spec.execute} it, store the result (when there is a
+    cache) and mark it [stats.cache_misses = 1].  The stored blob
+    carries neither marker.  Raises like {!Run_spec.execute}. *)
+
 val find_meta : t -> key:Digest_hex.t -> int array option
 (** Kernel-metadata blobs (dynamic instruction counts, body statistics),
     keyed by {!Run_spec.kernel_digest}. *)

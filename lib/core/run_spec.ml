@@ -267,10 +267,50 @@ let resolve ?kernel (t : t) : Kernel.t =
    simulator can run. *)
 let bytes_of_program prog = Xloops_asm.Program.to_string prog
 
+(* Per-process memo of content digests.  A sweep asks for a spec's key
+   again every time it looks the spec up (~2000 calls over ~40 kernels
+   for the paper plan), and each answer would otherwise compile the
+   kernel and print its whole listing.  An entry is keyed by kernel
+   name (and target) and remembers the Loopc AST it was computed from;
+   a hit requires that physically same AST ([==]), so a synthetic kernel
+   reusing a registry name never aliases the registry entry — it
+   replaces it, which bounds the table at one entry per key.  Entries
+   hold only the 16-byte digest, never the compiled program, so a
+   process's footprint does not grow with the kernels it has seen.  A
+   mutex, not [Lazy], guards the table: pool domains and service workers
+   call in concurrently, and forcing one [Lazy] from two domains at
+   once raises.  The digest is computed outside the lock; racing
+   computations of one key agree, so the last [replace] is harmless. *)
+type 'k memo = {
+  tbl : ('k, Xloops_compiler.Ast.kernel * string) Hashtbl.t;
+  mu : Mutex.t;
+}
+
+let memo () = { tbl = Hashtbl.create 64; mu = Mutex.create () }
+
+let memoized m key ast compute =
+  match
+    Mutex.protect m.mu (fun () ->
+        match Hashtbl.find_opt m.tbl key with
+        | Some (ast', d) when ast' == ast -> Some d
+        | Some _ | None -> None)
+  with
+  | Some d -> d
+  | None ->
+    let d = compute () in
+    Mutex.protect m.mu (fun () -> Hashtbl.replace m.tbl key (ast, d));
+    d
+
+let program_memo : (string * Compile.target) memo = memo ()
+let kernel_memo : string memo = memo ()
+
+let listing target ast =
+  bytes_of_program (Compile.compile ~target ast).Compile.program
+
 let program_digest ?kernel (t : t) =
   let k = resolve ?kernel t in
-  let c = Compile.compile ~target:t.target k.Kernel.kernel in
-  Digest.string (bytes_of_program c.Compile.program)
+  memoized program_memo (k.Kernel.name, t.target) k.Kernel.kernel (fun () ->
+      Digest.string (listing t.target k.Kernel.kernel))
 
 (** The content address of a spec's result: digest over the canonical
     spec encoding {e and} the compiled program bytes, so a compiler or
@@ -282,13 +322,12 @@ let cache_key ?kernel (t : t) =
     instruction counts, body statistics): digest over its name and its
     compiled general and XLOOPS programs. *)
 let kernel_digest (k : Kernel.t) =
-  let prog target =
-    (Compile.compile ~target k.Kernel.kernel).Compile.program in
   Digest_hex.of_digest
-    (Digest.string
-       (k.Kernel.name ^ "\x00"
-        ^ bytes_of_program (prog Compile.general) ^ "\x00"
-        ^ bytes_of_program (prog Compile.xloops)))
+    (memoized kernel_memo k.Kernel.name k.Kernel.kernel (fun () ->
+         Digest.string
+           (k.Kernel.name ^ "\x00"
+            ^ listing Compile.general k.Kernel.kernel ^ "\x00"
+            ^ listing Compile.xloops k.Kernel.kernel)))
 
 (* -- Execution ----------------------------------------------------------- *)
 

@@ -55,13 +55,25 @@ val digest : t -> Digest_hex.t
     dedupe key). *)
 
 val cache_key : ?kernel:Kernel.t -> t -> Digest_hex.t
-(** Content address of the spec's result: digest over the canonical
-    encoding {e and} the compiled program bytes, so compiler or kernel
-    changes invalidate cached results by construction. *)
+(** Content address of the spec's result:
+    [MD5 (encode t ^ MD5 (Program.to_string program))], where [program]
+    is the kernel compiled for [t.target], so compiler or kernel changes
+    invalidate cached results by construction.
+
+    The inner program digest is memoized once per process, keyed by
+    (kernel name, target) and valid only for the physically same Loopc
+    AST ([==]): a synthetic [kernel] that reuses a registry name gets
+    its own digest and never aliases the registry entry.  A hit costs an
+    {!encode} and one MD5, with no compile.  The memo holds one entry
+    per (name, target) and keeps only the 16-byte digests, never the
+    compiled programs, so it adds no measurable memory.  Thread- and
+    domain-safe. *)
 
 val kernel_digest : Kernel.t -> Digest_hex.t
-(** Content address of a kernel's target-independent metadata: digest
-    over its name and its compiled general and XLOOPS programs. *)
+(** Content address of a kernel's target-independent metadata:
+    [MD5 (name ^ "\x00" ^ general listing ^ "\x00" ^ XLOOPS listing)].
+    Memoized per process like {!cache_key}: one digest per kernel name,
+    valid only for the physically same AST. *)
 
 (** {1 Execution} *)
 

@@ -15,7 +15,6 @@ module Run_spec = Xloops.Run_spec
 module Run_cache = Xloops.Run_cache
 module Failure = Xloops.Failure
 module Digest_hex = Xloops.Digest_hex
-module Stats = Xloops.Sim.Stats
 module P = Protocol
 
 type config = {
@@ -111,28 +110,14 @@ let reject_error code message =
 
 (* -- Local failover execution --------------------------------------------- *)
 
-(* Cache-or-simulate exactly like [Server.simulate]: through the shared
-   fleet cache when configured, so failover never re-computes what any
-   shard already stored. *)
-let simulate_local t spec =
-  match t.cfg.cache with
-  | None -> Run_spec.execute spec
-  | Some cache ->
-    let key = Run_spec.cache_key spec in
-    (match Run_cache.find_run cache ~key with
-     | Some rd -> rd.Run_spec.stats.Stats.cache_hits <- 1; rd
-     | None ->
-       let rd = Run_spec.execute spec in
-       Run_cache.store_run cache ~key rd;
-       rd.Run_spec.stats.Stats.cache_misses <- 1;
-       rd)
-
+(* Failover simulates through the shared fleet cache when one is
+   configured, so it never re-computes what any shard already stored. *)
 let failover_outcome t ~deadline_ms ~max_retries spec =
   let digest = Run_spec.digest spec in
   match
     Failure.with_retries ?deadline_ms ~max_retries
       ~salt:(Digest_hex.to_hex digest)
-      (fun () -> simulate_local t spec)
+      (fun () -> Run_cache.find_or_execute ?cache:t.cfg.cache spec)
   with
   | outcome ->
     (match outcome.Failure.result with

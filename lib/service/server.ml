@@ -11,7 +11,6 @@ module Run_cache = Xloops.Run_cache
 module Failure = Xloops.Failure
 module Chaos = Xloops.Chaos
 module Digest_hex = Xloops.Digest_hex
-module Stats = Xloops.Sim.Stats
 module P = Protocol
 
 type config = {
@@ -150,22 +149,6 @@ let stats t : P.stats =
 
 (* -- Workers -------------------------------------------------------------- *)
 
-(* Cache-or-simulate, marking results exactly like
-   [Experiments.caching_engine] so a client-side engine built on the
-   service is indistinguishable from the in-process one. *)
-let simulate t spec =
-  match t.cfg.cache with
-  | None -> Run_spec.execute spec
-  | Some cache ->
-    let key = Run_spec.cache_key spec in
-    (match Run_cache.find_run cache ~key with
-     | Some rd -> rd.Run_spec.stats.Stats.cache_hits <- 1; rd
-     | None ->
-       let rd = Run_spec.execute spec in
-       Run_cache.store_run cache ~key rd;
-       rd.Run_spec.stats.Stats.cache_misses <- 1;
-       rd)
-
 (* One owed result has been delivered (or dropped) for [conn]'s current
    batch; when the count reaches zero the stream is closed. *)
 let finish_one t conn =
@@ -215,7 +198,7 @@ let worker t wi =
                (match t.cfg.chaos with
                 | Some c -> Chaos.before_item c
                 | None -> ());
-               simulate t job.j_spec)
+               Run_cache.find_or_execute ?cache:t.cfg.cache job.j_spec)
         with
         | outcome -> outcome.Failure.result
         | exception Failure.Abort msg ->

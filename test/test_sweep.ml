@@ -17,6 +17,10 @@ module Registry = Xloops.Kernels.Registry
 module Config = Xloops.Sim.Config
 module Machine = Xloops.Sim.Machine
 module Stats = Xloops.Sim.Stats
+module Kernel = Xloops.Kernels.Kernel
+module Compile = Xloops.Compiler.Compile
+module Program = Xloops.Asm.Program
+module Digest_hex = Xloops.Digest_hex
 
 (* run_data comparison must ignore the wall clock and the cache-origin
    markers — the only fields that depend on how a result was obtained
@@ -47,6 +51,146 @@ let run_blobs dir =
     else acc
   in
   List.sort compare (walk [] dir)
+
+(* -- Content addressing --------------------------------------------------- *)
+
+(* The digests written out without the per-process memo: what
+   [Run_spec.cache_key] and [Run_spec.kernel_digest] computed before the
+   memo existed, so equality with these proves that caches written by
+   older builds stay warm. *)
+let listing target (k : Kernel.t) =
+  Program.to_string (Compile.compile ~target k.kernel).Compile.program
+
+let unmemoized_key ?kernel (spec : Run_spec.t) =
+  let k = match kernel with Some k -> k | None -> Registry.find spec.kernel in
+  Digest_hex.of_digest
+    (Digest.string
+       (Run_spec.encode spec ^ Digest.string (listing spec.target k)))
+
+let unmemoized_kernel_digest (k : Kernel.t) =
+  Digest_hex.of_digest
+    (Digest.string
+       (k.name ^ "\x00" ^ listing Compile.general k ^ "\x00"
+        ^ listing Compile.xloops k))
+
+(* Every spec the paper sweep plans, duplicates included. *)
+let full_plan () =
+  List.concat
+    [ List.concat_map E.specs_for Registry.all;
+      E.fig9_specs (); E.table4_specs (); E.fig10_specs () ]
+
+let digest = Alcotest.testable Digest_hex.pp Digest_hex.equal
+
+(* A kernel with a registry name but another kernel's AST, so another
+   program.  Must run before anything else in this executable memoizes
+   [victim]: the first half checks the impostor memoized {e before} the
+   registry kernel, the second one memoized after it. *)
+let test_impostor_never_aliases () =
+  let victim = "dither-or" in
+  let fake =
+    { (Registry.find victim) with
+      Kernel.kernel = (Registry.find "sgemm-uc").kernel }
+  in
+  let spec = Run_spec.make ~cfg:Config.io_x ~mode:Machine.Specialized victim in
+  let fake_key () = Run_spec.cache_key ~kernel:fake spec in
+  let real_key () = Run_spec.cache_key spec in
+  let check_both () =
+    Alcotest.check digest "impostor key" (unmemoized_key ~kernel:fake spec)
+      (fake_key ());
+    Alcotest.check digest "registry key" (unmemoized_key spec) (real_key ());
+    Alcotest.(check bool) "keys differ" false
+      (Digest_hex.equal (fake_key ()) (real_key ()));
+    Alcotest.check digest "impostor kernel digest"
+      (unmemoized_kernel_digest fake) (Run_spec.kernel_digest fake);
+    Alcotest.check digest "registry kernel digest"
+      (unmemoized_kernel_digest (Registry.find victim))
+      (Run_spec.kernel_digest (Registry.find victim))
+  in
+  (* impostor first: it owns the memo slot when the registry asks *)
+  ignore (fake_key ());
+  ignore (Run_spec.kernel_digest fake);
+  check_both ();
+  (* registry first: the impostor must not be served its entry *)
+  ignore (real_key ());
+  ignore (Run_spec.kernel_digest (Registry.find victim));
+  check_both ()
+
+let test_keys_match_unmemoized () =
+  List.iter
+    (fun spec ->
+       let want = unmemoized_key spec in
+       Alcotest.check digest "cache_key (first call)" want
+         (Run_spec.cache_key spec);
+       Alcotest.check digest "cache_key (memo hit)" want
+         (Run_spec.cache_key spec))
+    (full_plan ());
+  List.iter
+    (fun k ->
+       let want = unmemoized_kernel_digest k in
+       Alcotest.check digest "kernel_digest (first call)" want
+         (Run_spec.kernel_digest k);
+       Alcotest.check digest "kernel_digest (memo hit)" want
+         (Run_spec.kernel_digest k))
+    Registry.all
+
+(* Two domains key the plan at once, in opposite orders, each through
+   its own physically fresh copies of the ASTs: every lookup misses and
+   both domains race to replace the same entries. *)
+let test_keys_concurrent () =
+  let plan = Array.of_list (full_plan ()) in
+  let serial = Array.map Run_spec.cache_key plan in
+  let keys reverse () =
+    let n = Array.length plan in
+    let copies = Hashtbl.create 64 in
+    let copy name =
+      match Hashtbl.find_opt copies name with
+      | Some k -> k
+      | None ->
+        let k = Registry.find name in
+        let fresh = { k.Kernel.kernel with k_name = k.kernel.k_name } in
+        let k = { k with kernel = fresh } in
+        Hashtbl.replace copies name k;
+        k
+    in
+    Array.init n (fun i ->
+        let spec = plan.(if reverse then n - 1 - i else i) in
+        if i land 1 = 0 then Run_spec.cache_key spec
+        else Run_spec.cache_key ~kernel:(copy spec.kernel) spec)
+  in
+  let d = Domain.spawn (keys true) in
+  let fwd = keys false () in
+  let rev = Domain.join d in
+  let n = Array.length plan in
+  Array.iteri
+    (fun i want ->
+       Alcotest.check digest "forward domain" want fwd.(i);
+       Alcotest.check digest "reverse domain" want rev.(n - 1 - i))
+    serial
+
+(* A memo hit is an encode and two MD5s: 234 words on OCaml 5.1, and
+   the budget is ~2x that.  Compiling war-uc alone allocates ~15.6k
+   words, so a reintroduced compile fails deterministically, with no
+   timing noise. *)
+let test_memo_hit_allocation () =
+  let spec = Run_spec.make ~cfg:Config.ooo4_x ~mode:Machine.Adaptive "war-uc" in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  ignore (Run_spec.cache_key spec);
+  let hit = words (fun () -> Run_spec.cache_key spec) in
+  let miss =
+    words (fun () ->
+        Compile.compile ~target:spec.target (Registry.find "war-uc").kernel)
+  in
+  let budget = 500. in
+  Alcotest.(check bool)
+    (Fmt.str "memo hit allocates %.0f words <= %.0f" hit budget) true
+    (hit <= budget);
+  Alcotest.(check bool)
+    (Fmt.str "a compile (%.0f words) would break the budget" miss) true
+    (miss > budget)
 
 (* -- Failure taxonomy ---------------------------------------------------- *)
 
@@ -455,7 +599,17 @@ let prop_interrupted_sweep_resumes =
 
 let () =
   Alcotest.run "sweep"
-    [ ("failure",
+    [ (* first: the impostor case needs its kernel not yet memoized *)
+      ("cache-keys",
+       [ Alcotest.test_case "impostor never aliases" `Quick
+           test_impostor_never_aliases;
+         Alcotest.test_case "keys == unmemoized formula" `Quick
+           test_keys_match_unmemoized;
+         Alcotest.test_case "keys from two domains" `Quick
+           test_keys_concurrent;
+         Alcotest.test_case "memo hit allocation" `Quick
+           test_memo_hit_allocation ]);
+      ("failure",
        [ Alcotest.test_case "classification" `Quick test_classify;
          Alcotest.test_case "of_exn" `Quick test_of_exn;
          Alcotest.test_case "backoff determinism" `Quick
